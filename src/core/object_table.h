@@ -2,7 +2,7 @@
 #define CKNN_CORE_OBJECT_TABLE_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/updates.h"
@@ -21,6 +21,14 @@ namespace cknn {
 ///  * object id -> network point (for update validation and distances),
 ///  * edge id   -> ids of objects currently on the edge (scanned during
 ///                 network expansion, Fig. 2 line 14).
+///
+/// The id map is one flat open-addressing array (linear probing,
+/// multiplicative hashing, backward-shift deletion): no allocation per
+/// object, one probe per lookup, and memory proportional to the live
+/// objects for any id pattern (it grows at 3/4 load and shrinks below
+/// 1/8). Each entry also records its index in its edge's list, so detaching
+/// an object is an O(1) swap-erase. Every id, `kInvalidObject` included,
+/// is a valid key.
 class ObjectTable {
  public:
   /// \param num_edges edge-count of the network the table serves.
@@ -48,20 +56,72 @@ class ObjectTable {
   /// Current position of an object.
   Result<NetworkPoint> Position(ObjectId id) const;
 
-  bool Contains(ObjectId id) const { return positions_.count(id) != 0; }
+  /// Current position of an object, or nullptr if absent (valid until the
+  /// table next mutates).
+  const NetworkPoint* Find(ObjectId id) const {
+    const std::size_t i = SlotOf(id);
+    return i == kAbsent ? nullptr : &slots_[i].pos;
+  }
+
+  bool Contains(ObjectId id) const { return SlotOf(id) != kAbsent; }
 
   /// Objects currently lying on edge `e`.
   const std::vector<ObjectId>& ObjectsOn(EdgeId e) const;
 
-  std::size_t size() const { return positions_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Estimated heap footprint in bytes.
   std::size_t MemoryBytes() const;
 
  private:
-  void DetachFromEdge(ObjectId id, EdgeId e);
+  /// One slot of the id map. A slot is vacant when `pos.edge` is
+  /// kInvalidEdge: a stored position always lies on a known edge.
+  struct Entry {
+    NetworkPoint pos;
+    ObjectId id = kInvalidObject;
+    /// Index of `id` in `per_edge_[pos.edge]`.
+    std::uint32_t edge_slot = 0;
 
-  std::unordered_map<ObjectId, NetworkPoint> positions_;
+    bool vacant() const { return pos.edge == kInvalidEdge; }
+  };
+
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  /// Home slot of `id` (Fibonacci hashing; needs a non-empty map).
+  std::size_t Home(ObjectId id) const {
+    return static_cast<std::size_t>(
+        (std::uint64_t{id} * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// Slot holding `id`, or the vacant slot where it would go.
+  std::size_t Probe(ObjectId id) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = Home(id);
+    while (!slots_[i].vacant() && slots_[i].id != id) i = (i + 1) & mask;
+    return i;
+  }
+
+  /// Slot holding `id`, or kAbsent.
+  std::size_t SlotOf(ObjectId id) const {
+    if (slots_.empty()) return kAbsent;
+    const std::size_t i = Probe(id);
+    return slots_[i].vacant() ? kAbsent : i;
+  }
+
+  /// Re-inserts every entry into `capacity` (a power of two) slots.
+  void Rehash(std::size_t capacity);
+
+  /// Vacates slot `i`, shifting later entries of its probe run back.
+  void EraseSlot(std::size_t i);
+
+  /// Swap-erases `entry`'s id from its edge list, fixing the edge slot of
+  /// the id moved into its place.
+  void DetachFromEdge(const Entry& entry);
+
+  std::vector<Entry> slots_;
+  std::size_t size_ = 0;
+  /// 64 - log2(slots_.size()).
+  unsigned shift_ = 64;
   std::vector<std::vector<ObjectId>> per_edge_;
 };
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <cstdint>
+#include <limits>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/util/macros.h"
@@ -54,18 +53,244 @@ Status ValidateIncomingPoint(const NetworkPoint& p, std::size_t num_edges,
   return Status::OK();
 }
 
-/// Drops the {nullopt, nullopt} slots of validated appeared-and-died
-/// chains (see AggregateObjects): past validation they are no-ops at
-/// every layer, and the monitors' one-update-per-entity contract is
-/// cleanest without them.
-void StripCancelledObjectChains(UpdateBatch* batch) {
-  batch->objects.erase(
-      std::remove_if(batch->objects.begin(), batch->objects.end(),
-                     [](const ObjectUpdate& u) {
-                       return !u.old_pos.has_value() &&
-                              !u.new_pos.has_value();
-                     }),
-      batch->objects.end());
+/// Replay check of one object update against the object's running
+/// position (nullopt while absent).
+Status CheckObjectUpdate(const ObjectUpdate& u,
+                         const std::optional<NetworkPoint>& current,
+                         std::size_t num_edges) {
+  if (u.old_pos.has_value()) {
+    if (!current.has_value()) {
+      return Status::NotFound("update for unknown object");
+    }
+    if (!(*current == *u.old_pos)) {
+      return Status::InvalidArgument(
+          "object update old position does not match the table");
+    }
+  } else if (current.has_value()) {
+    return Status::AlreadyExists("object appears but already exists");
+  }
+  if (u.new_pos.has_value()) {
+    return ValidateIncomingPoint(*u.new_pos, num_edges, "object position");
+  }
+  return Status::OK();
+}
+
+/// Replay check of one query update against the query's running
+/// registration.
+Status CheckQueryUpdate(const QueryUpdate& u, bool registered,
+                        std::size_t num_edges) {
+  switch (u.kind) {
+    case QueryUpdate::Kind::kTerminate:
+      if (!registered) return Status::NotFound("terminate for unknown query");
+      return Status::OK();
+    case QueryUpdate::Kind::kMove:
+      if (!registered) return Status::NotFound("move for unknown query");
+      return ValidateIncomingPoint(u.pos, num_edges, "query move position");
+    case QueryUpdate::Kind::kInstall:
+      if (registered) {
+        return Status::AlreadyExists("query id already monitored");
+      }
+      if (u.k < 1) return Status::InvalidArgument("k must be >= 1");
+      return ValidateIncomingPoint(u.pos, num_edges, "query position");
+  }
+  return Status::OK();
+}
+
+/// Replay check of one edge-weight update: known edge, finite
+/// non-negative weight (NaN fails every `<` comparison, so
+/// `new_weight < 0.0` alone would let it through).
+Status CheckEdgeUpdate(const EdgeUpdate& u, std::size_t num_edges) {
+  if (u.edge >= num_edges) {
+    return Status::NotFound("weight update for unknown edge");
+  }
+  if (!std::isfinite(u.new_weight) || u.new_weight < 0.0) {
+    return Status::InvalidArgument(
+        "edge weight must be finite and non-negative");
+  }
+  return Status::OK();
+}
+
+/// One stream's updates grouped by entity id: `(id << 32) | batch index`
+/// keys, sorted, so each entity's chain is adjacent and in batch order.
+/// Ids are 32-bit; indices fit because streams are shorter than
+/// kMaxStreamLength.
+using GroupKeys = std::vector<std::uint64_t>;
+
+constexpr std::size_t kMaxStreamLength =
+    std::numeric_limits<std::uint32_t>::max();
+
+std::uint32_t IdOfKey(std::uint64_t key) {
+  return static_cast<std::uint32_t>(key >> 32);
+}
+
+std::size_t IndexOfKey(std::uint64_t key) {
+  return static_cast<std::size_t>(key & 0xFFFFFFFFu);
+}
+
+/// Keys of every update for which `id_of` yields an id.
+template <typename Update, typename IdOf>
+GroupKeys GroupById(const std::vector<Update>& updates, IdOf id_of) {
+  GroupKeys keys;
+  keys.reserve(updates.size());
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const std::optional<std::uint32_t> id = id_of(updates[i]);
+    if (id.has_value()) keys.push_back(std::uint64_t{*id} << 32 | i);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// End of the group whose first key is `keys[begin]`.
+std::size_t GroupEnd(const GroupKeys& keys, std::size_t begin) {
+  std::size_t end = begin + 1;
+  while (end < keys.size() && IdOfKey(keys[end]) == IdOfKey(keys[begin])) {
+    ++end;
+  }
+  return end;
+}
+
+/// Calls `fn(begin, end)` for every group's key range, in id order.
+template <typename Fn>
+void ForEachGroup(const GroupKeys& keys, Fn fn) {
+  for (std::size_t begin = 0; begin < keys.size();) {
+    const std::size_t end = GroupEnd(keys, begin);
+    fn(begin, end);
+    begin = end;
+  }
+}
+
+/// Calls `fn(begin, end)` for every group's key range, in the batch order
+/// of the groups' first updates — so a fold emits each entity where it
+/// first appeared.
+template <typename Fn>
+void ForEachGroupInBatchOrder(const GroupKeys& keys, std::size_t num_updates,
+                              Fn fn) {
+  constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> begin_at(num_updates, kNoGroup);
+  ForEachGroup(keys, [&](std::size_t begin, std::size_t) {
+    begin_at[IndexOfKey(keys[begin])] = static_cast<std::uint32_t>(begin);
+  });
+  for (const std::uint32_t begin : begin_at) {
+    if (begin != kNoGroup) fn(begin, GroupEnd(keys, begin));
+  }
+}
+
+/// Replays every entity's chain from its pre-batch state (`start(id)`)
+/// through `step(update, &state)` and returns the status of the stream's
+/// first failing update in batch order.
+template <typename State, typename Update, typename Start, typename Step>
+Status FirstFailure(const std::vector<Update>& updates, const GroupKeys& keys,
+                    Start start, Step step) {
+  std::size_t first_bad = kMaxStreamLength;
+  Status status;
+  ForEachGroup(keys, [&](std::size_t begin, std::size_t end) {
+    State state = start(IdOfKey(keys[begin]));
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::size_t i = IndexOfKey(keys[k]);
+      if (i >= first_bad) return;  // Cannot precede the failure found.
+      Status update_status = step(updates[i], &state);
+      if (!update_status.ok()) {
+        first_bad = i;
+        status = std::move(update_status);
+        return;
+      }
+    }
+  });
+  return status;
+}
+
+/// The object, query and edge streams of one batch, grouped by id.
+struct GroupedBatch {
+  GroupKeys objects;
+  GroupKeys queries;
+  GroupKeys edges;
+};
+
+GroupedBatch Group(const UpdateBatch& batch) {
+  GroupedBatch groups;
+  // An update with neither position is a no-op at any table state
+  // (ObjectTable::Apply): it joins no chain.
+  groups.objects = GroupById(
+      batch.objects, [](const ObjectUpdate& u) -> std::optional<ObjectId> {
+        if (!u.old_pos.has_value() && !u.new_pos.has_value()) {
+          return std::nullopt;
+        }
+        return u.id;
+      });
+  groups.queries = GroupById(
+      batch.queries,
+      [](const QueryUpdate& u) -> std::optional<QueryId> { return u.id; });
+  groups.edges = GroupById(
+      batch.edges,
+      [](const EdgeUpdate& u) -> std::optional<EdgeId> { return u.edge; });
+  return groups;
+}
+
+/// Section 4.5's fold of validated updates, each entity emitted where it
+/// first appeared.
+UpdateBatch Fold(const UpdateBatch& batch, const GroupedBatch& groups) {
+  UpdateBatch out;
+  // Objects: each chain folds to (first old position, last new position);
+  // an object that appears and disappears within the timestamp cancels
+  // out.
+  ForEachGroupInBatchOrder(
+      groups.objects, batch.objects.size(),
+      [&](std::size_t begin, std::size_t end) {
+        ObjectUpdate folded = batch.objects[IndexOfKey(groups.objects[begin])];
+        folded.new_pos =
+            batch.objects[IndexOfKey(groups.objects[end - 1])].new_pos;
+        if (folded.old_pos.has_value() || folded.new_pos.has_value()) {
+          out.objects.push_back(folded);
+        }
+      });
+  // Queries: a chain whose first update is kInstall introduces a new
+  // query; one starting with kMove/kTerminate continues a registered one.
+  // A registered query that terminates and re-installs within the
+  // timestamp cannot collapse into a single update (a bare install would
+  // collide with the still-registered id), so it folds to a kTerminate
+  // immediately followed by a kInstall — the one sanctioned exception to
+  // "one update per entity" (see Monitor::ProcessTimestamp): every
+  // algorithm processes terminations before installations.
+  ForEachGroupInBatchOrder(
+      groups.queries, batch.queries.size(),
+      [&](std::size_t begin, std::size_t end) {
+        const QueryUpdate& first =
+            batch.queries[IndexOfKey(groups.queries[begin])];
+        const QueryUpdate& last =
+            batch.queries[IndexOfKey(groups.queries[end - 1])];
+        const bool began_alive = first.kind != QueryUpdate::Kind::kInstall;
+        const bool ends_alive = last.kind != QueryUpdate::Kind::kTerminate;
+        bool terminated = false;
+        int k = 1;  // The last installation's k.
+        for (std::size_t g = begin; g < end; ++g) {
+          const QueryUpdate& u = batch.queries[IndexOfKey(groups.queries[g])];
+          if (u.kind == QueryUpdate::Kind::kTerminate) terminated = true;
+          if (u.kind == QueryUpdate::Kind::kInstall) k = u.k;
+        }
+        if (began_alive && (terminated || !ends_alive)) {
+          out.queries.push_back(QueryUpdate{
+              first.id, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
+        }
+        if (!ends_alive) return;
+        if (!began_alive || terminated) {
+          out.queries.push_back(
+              QueryUpdate{first.id, QueryUpdate::Kind::kInstall, last.pos, k});
+        } else {
+          out.queries.push_back(
+              QueryUpdate{first.id, QueryUpdate::Kind::kMove, last.pos, 0});
+        }
+      });
+  // Edges: last weight wins (the paper aggregates weight changes into one
+  // overall change per timestamp).
+  ForEachGroupInBatchOrder(
+      groups.edges, batch.edges.size(),
+      [&](std::size_t begin, std::size_t end) {
+        EdgeUpdate folded = batch.edges[IndexOfKey(groups.edges[begin])];
+        folded.new_weight =
+            batch.edges[IndexOfKey(groups.edges[end - 1])].new_weight;
+        out.edges.push_back(folded);
+      });
+  return out;
 }
 
 }  // namespace
@@ -97,283 +322,52 @@ MonitoringServer::MonitoringServer(RoadNetwork network, Algorithm algorithm,
   CKNN_CHECK(pipeline_depth >= 1 && pipeline_depth <= 2);
 }
 
-void MonitoringServer::AggregateObjects(const UpdateBatch& batch,
-                                        std::vector<ObjectUpdate>* out) {
-  // Objects: each id's chain folds to (first old position, last new
-  // position) — an object that appears and disappears within the
-  // timestamp cancels out — as long as every link is consistent (each
-  // update's old position is the chain's running position). An
-  // inconsistent chain is emitted raw *in full* instead, so stage-2
-  // validation rejects the batch at the same update, with the same
-  // error, a sequential one-update-per-tick replay would hit; folding it
-  // would launder e.g. insert@p1 -> move(p999 -> p2) into a valid
-  // insert@p2 (and folding even the consistent prefix would erase an
-  // insert+delete pair whose insert is the sequential point of failure).
-  //
-  // Pass 1: chain consistency per id.
-  std::unordered_map<ObjectId, std::optional<NetworkPoint>> running;
-  std::unordered_set<ObjectId> broken;
-  for (const ObjectUpdate& u : batch.objects) {
-    if (!u.old_pos.has_value() && !u.new_pos.has_value()) {
-      continue;  // A no-op at any table state (ObjectTable::Apply).
-    }
-    auto it = running.find(u.id);
-    if (it == running.end()) {
-      running.emplace(u.id, u.new_pos);
-      continue;
-    }
-    if (broken.count(u.id) != 0) continue;
-    const std::optional<NetworkPoint>& pos = it->second;
-    if (u.old_pos.has_value() == pos.has_value() &&
-        (!u.old_pos.has_value() || *u.old_pos == *pos)) {
-      it->second = u.new_pos;
-    } else {
-      broken.insert(u.id);
-    }
-  }
-  // Pass 2: fold consistent chains, emit broken ones verbatim.
-  std::unordered_map<ObjectId, std::size_t> slot;
-  for (const ObjectUpdate& u : batch.objects) {
-    if (!u.old_pos.has_value() && !u.new_pos.has_value()) continue;
-    if (broken.count(u.id) != 0) {
-      out->push_back(u);
-      continue;
-    }
-    auto it = slot.find(u.id);
-    if (it == slot.end()) {
-      slot.emplace(u.id, out->size());
-      out->push_back(u);
-    } else {
-      (*out)[it->second].new_pos = u.new_pos;
-    }
-  }
-  // A chain that appears and disappears within the tick folds to a
-  // {nullopt, nullopt} slot. It is deliberately NOT erased here: the slot
-  // is the only remaining evidence that the chain began with an insert,
-  // which a sequential replay rejects (AlreadyExists) when the id is
-  // already in the table — validation needs to see it. The server strips
-  // the validated no-ops before the batch reaches the table and the
-  // monitors (StripCancelledObjectChains). Literal {nullopt, nullopt}
-  // input updates were skipped above, so every such slot is a folded
-  // appeared-and-died chain.
-}
-
-void MonitoringServer::AggregateQueries(const UpdateBatch& batch,
-                                        std::vector<QueryUpdate>* out) {
-  // Queries: fold each id's install/move/terminate chain into its net
-  // effect. A chain whose first update is kInstall presumes the query is
-  // new to the system; one starting with kMove/kTerminate presumes it is
-  // already registered. A registered query that terminates and re-installs
-  // within the timestamp cannot collapse into a single update (a bare
-  // install would collide with the still-registered id), so it is emitted
-  // as a kTerminate immediately followed by a kInstall — the one sanctioned
-  // exception to "one update per entity" (see Monitor::ProcessTimestamp):
-  // every algorithm processes terminations before installations.
-  struct Fold {
-    bool began_alive = false;  ///< First update was a move/terminate.
-    bool died = false;         ///< Terminated while began_alive.
-    bool alive = false;        ///< Net state after the chain.
-    /// An install arrived while the query was alive — invalid sequential
-    /// input. Emitted as an install so the algorithms surface the same
-    /// AlreadyExists error a sequential replay would.
-    bool reinstalled_alive = false;
-    NetworkPoint pos;
-    int k = 1;
-  };
-  std::vector<QueryId> order;
-  std::unordered_map<QueryId, Fold> folds;
-  for (const QueryUpdate& u : batch.queries) {
-    auto it = folds.find(u.id);
-    if (it == folds.end()) {
-      order.push_back(u.id);
-      it = folds.emplace(u.id, Fold{}).first;
-      Fold& f = it->second;
-      f.began_alive = u.kind != QueryUpdate::Kind::kInstall;
-      f.alive = u.kind == QueryUpdate::Kind::kMove;  // Refined below.
-    }
-    Fold& f = it->second;
-    switch (u.kind) {
-      case QueryUpdate::Kind::kMove:
-        // A move of a dead-and-not-reinstalled query is invalid input;
-        // as before, it only updates the remembered position.
-        f.pos = u.pos;
-        break;
-      case QueryUpdate::Kind::kTerminate:
-        f.alive = false;
-        if (f.began_alive) f.died = true;
-        break;
-      case QueryUpdate::Kind::kInstall:
-        if (f.alive) f.reinstalled_alive = true;
-        f.alive = true;
-        f.pos = u.pos;
-        f.k = u.k;
-        break;
-    }
-  }
-  for (QueryId id : order) {
-    const Fold& f = folds.at(id);
-    const QueryUpdate install{id, QueryUpdate::Kind::kInstall, f.pos, f.k};
-    const QueryUpdate terminate{id, QueryUpdate::Kind::kTerminate,
-                                NetworkPoint{}, 0};
-    if (!f.began_alive) {
-      // Appeared within the tick: a single install, or nothing if it
-      // also terminated (net no-op). A duplicate install while alive is
-      // invalid input — emit it twice so validation rejects the batch
-      // (AlreadyExists) like a sequential replay would.
-      if (f.alive) {
-        out->push_back(install);
-        if (f.reinstalled_alive) out->push_back(install);
-      }
-      continue;
-    }
-    if (!f.alive) {
-      out->push_back(terminate);
-    } else if (f.died) {
-      out->push_back(terminate);
-      out->push_back(install);
-      if (f.reinstalled_alive) out->push_back(install);
-    } else if (f.reinstalled_alive) {
-      // e.g. [move, install]: invalid input; keep the install so the
-      // batch is rejected (AlreadyExists) like a sequential replay.
-      out->push_back(install);
-    } else {
-      out->push_back(QueryUpdate{id, QueryUpdate::Kind::kMove, f.pos, 0});
-    }
-  }
-}
-
-void MonitoringServer::AggregateEdges(const UpdateBatch& batch,
-                                      std::vector<EdgeUpdate>* out) {
-  // Edges: last weight wins (the paper aggregates weight changes into one
-  // overall change per timestamp).
-  std::unordered_map<EdgeId, std::size_t> index;
-  for (const EdgeUpdate& u : batch.edges) {
-    auto it = index.find(u.edge);
-    if (it == index.end()) {
-      index.emplace(u.edge, out->size());
-      out->push_back(u);
-    } else {
-      (*out)[it->second].new_weight = u.new_weight;
-    }
-  }
-}
-
 UpdateBatch MonitoringServer::AggregateBatch(const UpdateBatch& batch) {
-  UpdateBatch out;
-  AggregateObjects(batch, &out.objects);
-  AggregateQueries(batch, &out.queries);
-  AggregateEdges(batch, &out.edges);
-  return out;
+  return Fold(batch, Group(batch));
 }
 
-UpdateBatch MonitoringServer::AggregateOverlapped(const UpdateBatch& batch) {
-  ThreadPool* pool = shards_.pool();
-  if (pool == nullptr) return AggregateBatch(batch);
-  // The three folds read disjoint input streams and write disjoint output
-  // streams; running them as a pool batch lets workers that finished
-  // their shard of the in-flight tick early pick them up.
-  UpdateBatch out;
-  const std::vector<std::function<void()>> folds = {
-      [&] { AggregateObjects(batch, &out.objects); },
-      [&] { AggregateQueries(batch, &out.queries); },
-      [&] { AggregateEdges(batch, &out.edges); },
-  };
-  pool->RunAll(folds);
-  return out;
-}
-
-Status MonitoringServer::ValidateAggregated(
-    const UpdateBatch& aggregated) const {
-  // Objects. `overlay` tracks the position each id reaches earlier in the
-  // batch (a broken chain is emitted raw by AggregateObjects), so every
-  // update is checked against exactly the table state a sequential
-  // one-update-per-tick replay would see. The table itself is read-only
-  // here — in pipelined mode the in-flight tick's shards read it
-  // concurrently.
-  {
-    std::unordered_map<ObjectId, std::optional<NetworkPoint>> overlay;
-    for (const ObjectUpdate& u : aggregated.objects) {
-      std::optional<NetworkPoint> current;
-      auto it = overlay.find(u.id);
-      if (it != overlay.end()) {
-        current = it->second;
-      } else {
-        auto pos = objects_.Position(u.id);
-        if (pos.ok()) current = pos.value();
-      }
-      if (u.old_pos.has_value()) {
-        if (!current.has_value()) {
-          return Status::NotFound("update for unknown object");
-        }
-        if (!(*current == *u.old_pos)) {
-          return Status::InvalidArgument(
-              "object update old position does not match the table");
-        }
-      } else if (current.has_value()) {
-        // The chain began with an insert — either a plain appearance or
-        // an appeared-and-died chain folded to {nullopt, nullopt} — and
-        // a sequential replay rejects that insert while the id exists.
-        return Status::AlreadyExists("object appears but already exists");
-      }
-      if (u.new_pos.has_value()) {
-        CKNN_RETURN_NOT_OK(ValidateIncomingPoint(
-            *u.new_pos, network_.NumEdges(), "object position"));
-      }
-      overlay[u.id] = u.new_pos;
-    }
+Result<UpdateBatch> MonitoringServer::Prepare(const UpdateBatch& batch) const {
+  if (batch.objects.size() >= kMaxStreamLength ||
+      batch.queries.size() >= kMaxStreamLength ||
+      batch.edges.size() >= kMaxStreamLength) {
+    return Status::ResourceExhausted("update stream too long for one batch");
   }
-  // Edges: known edge, finite non-negative weight (NaN fails every `<`
-  // comparison, so `new_weight < 0.0` alone would let it through).
-  for (const EdgeUpdate& u : aggregated.edges) {
-    if (u.edge >= network_.NumEdges()) {
-      return Status::NotFound("weight update for unknown edge");
-    }
-    if (!std::isfinite(u.new_weight) || u.new_weight < 0.0) {
-      return Status::InvalidArgument(
-          "edge weight must be finite and non-negative");
-    }
+  const std::size_t num_edges = network_.NumEdges();
+  const GroupedBatch groups = Group(batch);
+  // Validate every raw update in stream order (objects, queries, edges)
+  // against exactly the state a one-update-per-tick replay would see: the
+  // pre-batch tables plus the entity's own earlier updates in this batch.
+  // Nothing is mutated — in pipelined mode the in-flight tick's shards
+  // read the object table concurrently, and the pre-batch registration
+  // state comes from the shard set's caller-side registry, which is safe
+  // to read while a detached tick mutates the engines. Queries are
+  // validated here too, so a batch a shard would reject cannot leave the
+  // shared table mutated but unrouted.
+  CKNN_RETURN_NOT_OK(FirstFailure<std::optional<NetworkPoint>>(
+      batch.objects, groups.objects,
+      [&](ObjectId id) -> std::optional<NetworkPoint> {
+        const NetworkPoint* pos = objects_.Find(id);
+        if (pos == nullptr) return std::nullopt;
+        return *pos;
+      },
+      [&](const ObjectUpdate& u, std::optional<NetworkPoint>* pos) {
+        CKNN_RETURN_NOT_OK(CheckObjectUpdate(u, *pos, num_edges));
+        *pos = u.new_pos;
+        return Status::OK();
+      }));
+  CKNN_RETURN_NOT_OK(FirstFailure<bool>(
+      batch.queries, groups.queries,
+      [&](QueryId id) { return shards_.IsRegistered(id); },
+      [&](const QueryUpdate& u, bool* registered) {
+        CKNN_RETURN_NOT_OK(CheckQueryUpdate(u, *registered, num_edges));
+        if (u.kind == QueryUpdate::Kind::kInstall) *registered = true;
+        if (u.kind == QueryUpdate::Kind::kTerminate) *registered = false;
+        return Status::OK();
+      }));
+  for (const EdgeUpdate& u : batch.edges) {
+    CKNN_RETURN_NOT_OK(CheckEdgeUpdate(u, num_edges));
   }
-  // Queries — validated before stage 3, so a batch a shard would reject
-  // cannot leave the shared table mutated but unrouted (the monitors' own
-  // error returns for these cases are unreachable through the server).
-  // `overlay` tracks registration changes made earlier in this batch
-  // (e.g. a terminate→install pair); the pre-batch registration state
-  // comes from the shard set's caller-side registry, which is safe to
-  // read while a detached tick mutates the engines.
-  {
-    std::unordered_map<QueryId, bool> overlay;
-    const auto registered = [&](QueryId id) {
-      auto it = overlay.find(id);
-      return it != overlay.end() ? it->second : shards_.IsRegistered(id);
-    };
-    for (const QueryUpdate& u : aggregated.queries) {
-      switch (u.kind) {
-        case QueryUpdate::Kind::kTerminate:
-          if (!registered(u.id)) {
-            return Status::NotFound("terminate for unknown query");
-          }
-          overlay[u.id] = false;
-          break;
-        case QueryUpdate::Kind::kMove:
-          if (!registered(u.id)) {
-            return Status::NotFound("move for unknown query");
-          }
-          CKNN_RETURN_NOT_OK(ValidateIncomingPoint(
-              u.pos, network_.NumEdges(), "query move position"));
-          break;
-        case QueryUpdate::Kind::kInstall:
-          if (registered(u.id)) {
-            return Status::AlreadyExists("query id already monitored");
-          }
-          if (u.k < 1) return Status::InvalidArgument("k must be >= 1");
-          CKNN_RETURN_NOT_OK(ValidateIncomingPoint(
-              u.pos, network_.NumEdges(), "query position"));
-          overlay[u.id] = true;
-          break;
-      }
-    }
-  }
-  return Status::OK();
+  return Fold(batch, groups);
 }
 
 void MonitoringServer::ApplyObjectUpdates(const UpdateBatch& aggregated) {
@@ -387,20 +381,18 @@ void MonitoringServer::ApplyObjectUpdates(const UpdateBatch& aggregated) {
 }
 
 Status MonitoringServer::SerialTick(const UpdateBatch& batch) {
-  // Stage 1: aggregate once (Section 4.5 preprocessing).
-  UpdateBatch aggregated = AggregateBatch(batch);
-  // Stage 2: validate against the shared tables before anything mutates
-  // state (the engines CKNN_CHECK internally).
-  CKNN_RETURN_NOT_OK(ValidateAggregated(aggregated));
-  StripCancelledObjectChains(&aggregated);
+  // Stages 1–2: validate, then fold (Section 4.5 preprocessing), before
+  // anything mutates state (the engines CKNN_CHECK internally).
+  Result<UpdateBatch> prepared = Prepare(batch);
+  CKNN_RETURN_NOT_OK(prepared.status());
   // Stage 3.
-  ApplyObjectUpdates(aggregated);
+  ApplyObjectUpdates(prepared.value());
   // Stages 4+5: per-shard maintenance (parallel when num_shards > 1),
   // statuses merged in shard order. Stage-2 validation makes a shard
   // failure unreachable; were one to slip through anyway, the table would
   // already be mutated with the engines unrouted, so a desynced-state
   // Status must not escape as if the server were still usable.
-  const Status shard_status = shards_.ProcessTimestamp(aggregated);
+  const Status shard_status = shards_.ProcessTimestamp(prepared.value());
   CKNN_CHECK(shard_status.ok());
   ++timestamp_;
   return Status::OK();
@@ -411,9 +403,8 @@ Status MonitoringServer::SubmitBatch(const UpdateBatch& batch) {
   // Depth 2: stages 1–2 of this tick run here, on the submitting thread,
   // while the previous tick's shards are still maintaining on the pool
   // workers (docs/pipeline.md).
-  UpdateBatch prepared = AggregateOverlapped(batch);
-  CKNN_RETURN_NOT_OK(ValidateAggregated(prepared));
-  StripCancelledObjectChains(&prepared);
+  Result<UpdateBatch> prepared = Prepare(batch);
+  CKNN_RETURN_NOT_OK(prepared.status());
   // Apply barrier: the shared table may only mutate once the in-flight
   // tick has fully retired (same CKNN_CHECK promotion as SerialTick).
   if (shards_.InFlight()) {
@@ -421,10 +412,10 @@ Status MonitoringServer::SubmitBatch(const UpdateBatch& batch) {
     // cknn-lint: allow(abort) bad input is bisected to Status pre-tick; a failed tick is corrupted engine state
     CKNN_CHECK(shard_status.ok());
   }
-  ApplyObjectUpdates(prepared);
+  ApplyObjectUpdates(prepared.value());
   // BeginProcessTimestamp copies the batch into per-shard scratch, so the
   // prepared batch does not need to outlive this call.
-  shards_.BeginProcessTimestamp(prepared);
+  shards_.BeginProcessTimestamp(prepared.value());
   ++timestamp_;
   return Status::OK();
 }

@@ -22,8 +22,13 @@ namespace cknn {
 ///
 /// Per timestamp, clients feed the server one `UpdateBatch`; `Tick` runs a
 /// deterministic pipeline:
-///  1. aggregate the batch once (Section 4.5's preprocessing step),
-///  2. validate it against the shared tables,
+///  1. validate every raw update, in stream order (objects, queries,
+///     edges), against the shared tables plus the entity's own earlier
+///     updates in the batch — exactly the checks a one-update-per-tick
+///     replay makes; the batch's status is that of the first failing
+///     update,
+///  2. fold each entity's updates into one (Section 4.5's preprocessing
+///     step, `AggregateBatch`),
 ///  3. apply the object updates to the shared object table,
 ///  4. broadcast object/edge updates — and route query updates — to the
 ///     shards, which run their per-shard maintenance in parallel,
@@ -67,7 +72,7 @@ class MonitoringServer {
   Status Tick(const UpdateBatch& batch);
 
   /// Submits one timestamp of updates. At depth 1 this is `Tick`. At
-  /// depth 2 it aggregates and validates the batch on the calling thread
+  /// depth 2 it validates and folds the batch on the calling thread
   /// — overlapping the in-flight tick's shard maintenance — then waits
   /// for that tick (the apply barrier), applies the object updates, and
   /// starts this tick's maintenance detached before returning. Validation
@@ -144,41 +149,22 @@ class MonitoringServer {
   std::size_t MonitorMemoryBytes() const { return shards_.MemoryBytes(); }
 
   /// Collapses multiple updates per object/query/edge into at most one, as
-  /// required by the algorithms (Section 4.5) — except that a terminated
-  /// and re-installed query collapses to a terminate immediately followed
-  /// by an install (see Monitor::ProcessTimestamp), that an object
-  /// chain whose intermediate old positions are inconsistent is emitted
-  /// raw in full, and that a chain which appears and disappears within
-  /// the timestamp folds to a retained {nullopt, nullopt} slot — both so
-  /// stage-2 validation rejects the batch the same way a sequential
-  /// replay would (the server strips the validated no-op slots before
-  /// routing). Exposed for testing.
+  /// required by the algorithms (Section 4.5), each emitted where its
+  /// entity first appeared: an object chain folds to (first old position,
+  /// last new position) and cancels out if the object appears and
+  /// disappears; edges keep their last weight; a terminated and
+  /// re-installed query folds to a terminate immediately followed by an
+  /// install (see Monitor::ProcessTimestamp). Assumes sequentially valid
+  /// input — the server validates before it folds — and streams shorter
+  /// than 2^32 - 1 updates. Exposed for testing.
   static UpdateBatch AggregateBatch(const UpdateBatch& batch);
 
  private:
-  /// \name The three independent aggregation folds (`AggregateBatch` runs
-  /// them serially; the pipelined prepare fans them out on the shard
-  /// pool). Each reads one stream of `batch` and writes one stream of the
-  /// output.
-  /// @{
-  static void AggregateObjects(const UpdateBatch& batch,
-                               std::vector<ObjectUpdate>* out);
-  static void AggregateQueries(const UpdateBatch& batch,
-                               std::vector<QueryUpdate>* out);
-  static void AggregateEdges(const UpdateBatch& batch,
-                             std::vector<EdgeUpdate>* out);
-  /// @}
-
-  /// AggregateBatch with the folds fanned out across the shard pool
-  /// (falls back to the serial folds when there is no pool).
-  UpdateBatch AggregateOverlapped(const UpdateBatch& batch);
-
-  /// Stage 2: validates an aggregated batch against the shared tables
-  /// (with per-entity overlays for within-batch chains) without mutating
-  /// anything. Safe to run while a detached tick is in flight: it reads
-  /// only the object table (read-only during the parallel phase), the
-  /// network topology, and the shard set's caller-side query registry.
-  Status ValidateAggregated(const UpdateBatch& aggregated) const;
+  /// Stages 1–2: validates the raw batch, then folds it. Mutates nothing,
+  /// so it is safe while a detached tick is in flight: it reads only the
+  /// object table (read-only during the parallel phase), the network
+  /// topology, and the shard set's caller-side query registry.
+  Result<UpdateBatch> Prepare(const UpdateBatch& batch) const;
 
   /// Stage 3: applies the batch's object updates to the shared table.
   void ApplyObjectUpdates(const UpdateBatch& aggregated);

@@ -169,11 +169,6 @@ class ShardSet {
   Monitor& monitor(int shard) { return *shards_[shard].monitor; }
   const Monitor& monitor(int shard) const { return *shards_[shard].monitor; }
 
-  /// The worker pool (nullptr for a serial, non-pipelined single shard).
-  /// Exposed so the server can overlap its aggregation folds with a
-  /// detached tick (`ThreadPool::RunAll` composes with `Begin`/`Wait`).
-  ThreadPool* pool() { return pool_.get(); }
-
  private:
   struct Shard {
     /// Shared-topology view of the primary network with a private weight

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -204,14 +206,167 @@ TEST_P(AggregateFuzzTest, RawReplayEqualsAggregatedReplay) {
   }
 }
 
-TEST_P(AggregateFuzzTest, InvalidObjectChainsRejectBothWays) {
-  // Differential rejection: a batch whose object chain is sequentially
-  // invalid (an old position that contradicts the running chain) must be
-  // rejected by the aggregated single-tick path with the same status
-  // category the raw one-update-per-tick replay hits — not laundered into
-  // a plausible folded update (the pre-fix fold rewrote only new_pos, so
-  // insert@p1 -> move(p999 -> p2) collapsed into a valid insert@p2).
-  const int cases = testing::FuzzIterations(6, 60);
+/// The one sequentially invalid update of a corrupted batch.
+struct Corruption {
+  enum class Stream { kObjects, kQueries, kEdges };
+  Stream stream = Stream::kObjects;
+  std::size_t index = 0;  ///< Position within its stream.
+  std::uint32_t entity = 0;
+  StatusCode code = StatusCode::kOk;  ///< What a sequential replay returns.
+};
+
+/// Appends one update that a sequential replay rejects. What it claims is
+/// folded into `model` as if it had been applied, so later links of the
+/// same entity chain from it: the shape a fold that checks only the last
+/// link would launder into a valid update.
+Corruption AppendCorruptUpdate(Rng* rng, std::size_t num_edges, Model* model,
+                               UpdateBatch* batch) {
+  Corruption c;
+  const NetworkPoint valid = RandomPoint(rng, num_edges);
+  switch (rng->NextIndex(3)) {
+    case 0: {
+      c.stream = Corruption::Stream::kObjects;
+      if (model->objects.empty()) {  // Everything died: make one present.
+        batch->objects.push_back(ObjectUpdate{0, std::nullopt, valid});
+        model->objects.emplace(0, valid);
+      }
+      auto it = model->objects.begin();
+      std::advance(it, rng->NextIndex(model->objects.size()));
+      const ObjectId id = it->first;
+      ObjectUpdate u{id, it->second, valid};
+      switch (rng->NextIndex(5)) {
+        case 0:  // Old position that matches nothing (t > 1).
+          u.old_pos->t = 2.0 + rng->NextDouble();
+          c.code = StatusCode::kInvalidArgument;
+          break;
+        case 1:  // New position on an unknown edge.
+          u.new_pos->edge = static_cast<EdgeId>(num_edges + 5);
+          c.code = StatusCode::kInvalidArgument;
+          break;
+        case 2:  // New position off the edge.
+          u.new_pos->t = 1.5;
+          c.code = StatusCode::kInvalidArgument;
+          break;
+        case 3:  // Insert of an object that is present.
+          u.old_pos.reset();
+          c.code = StatusCode::kAlreadyExists;
+          break;
+        default:  // Move of an object that was never inserted.
+          u.id = kNumObjectIds + 7;
+          c.code = StatusCode::kNotFound;
+          break;
+      }
+      c.index = batch->objects.size();
+      c.entity = u.id;
+      batch->objects.push_back(u);
+      model->objects[u.id] = *u.new_pos;
+      break;
+    }
+    case 1: {
+      c.stream = Corruption::Stream::kQueries;
+      QueryId absent = kNumQueryIds + 3;  // Fresh unless one below is free.
+      for (QueryId id = 0; id < kNumQueryIds; ++id) {
+        if (model->queries.count(id) == 0) absent = id;
+      }
+      QueryUpdate u{absent, QueryUpdate::Kind::kInstall, valid, 2};
+      switch (rng->NextIndex(4)) {
+        case 0:  // Installation with k = 0.
+          u.k = 0;
+          c.code = StatusCode::kInvalidArgument;
+          break;
+        case 1:  // Installation on an unknown edge.
+          u.pos.edge = static_cast<EdgeId>(num_edges + 5);
+          c.code = StatusCode::kInvalidArgument;
+          break;
+        case 2:  // Move of a query that is not installed.
+          u.kind = QueryUpdate::Kind::kMove;
+          c.code = StatusCode::kNotFound;
+          break;
+        default:  // Installation of a query that is installed.
+          if (!model->queries.empty()) u.id = model->queries.begin()->first;
+          else u.kind = QueryUpdate::Kind::kTerminate;  // NotFound instead.
+          c.code = model->queries.empty() ? StatusCode::kNotFound
+                                          : StatusCode::kAlreadyExists;
+          break;
+      }
+      c.index = batch->queries.size();
+      c.entity = u.id;
+      batch->queries.push_back(u);
+      if (u.kind == QueryUpdate::Kind::kTerminate) {
+        model->queries.erase(u.id);
+      } else {
+        model->queries[u.id] = Model::Query{u.pos, u.k};
+      }
+      break;
+    }
+    default: {
+      c.stream = Corruption::Stream::kEdges;
+      EdgeUpdate u{static_cast<EdgeId>(rng->NextIndex(num_edges)), 1.0};
+      switch (rng->NextIndex(3)) {
+        case 0:
+          u.new_weight = std::numeric_limits<double>::quiet_NaN();
+          c.code = StatusCode::kInvalidArgument;
+          break;
+        case 1:
+          u.new_weight = -1.0 - rng->NextDouble();
+          c.code = StatusCode::kInvalidArgument;
+          break;
+        default:
+          u.edge = static_cast<EdgeId>(num_edges + 2);
+          c.code = StatusCode::kNotFound;
+          break;
+      }
+      c.index = batch->edges.size();
+      c.entity = u.edge;
+      batch->edges.push_back(u);
+      break;
+    }
+  }
+  return c;
+}
+
+/// Appends a valid-looking next link for the corrupted entity, chained
+/// from what the corrupt update claimed.
+void AppendFollowUp(Rng* rng, std::size_t num_edges, const Corruption& c,
+                    Model* model, UpdateBatch* batch) {
+  const NetworkPoint pos = RandomPoint(rng, num_edges);
+  switch (c.stream) {
+    case Corruption::Stream::kObjects: {
+      NetworkPoint& current = model->objects.at(c.entity);
+      batch->objects.push_back(ObjectUpdate{c.entity, current, pos});
+      current = pos;
+      break;
+    }
+    case Corruption::Stream::kQueries:
+      if (model->queries.count(c.entity) == 0) {
+        batch->queries.push_back(
+            QueryUpdate{c.entity, QueryUpdate::Kind::kInstall, pos, 1});
+        model->queries[c.entity] = Model::Query{pos, 1};
+      } else if (rng->NextBool(0.5)) {
+        batch->queries.push_back(
+            QueryUpdate{c.entity, QueryUpdate::Kind::kMove, pos, 0});
+        model->queries[c.entity].pos = pos;
+      } else {
+        batch->queries.push_back(QueryUpdate{
+            c.entity, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
+        model->queries.erase(c.entity);
+      }
+      break;
+    case Corruption::Stream::kEdges:
+      batch->edges.push_back(EdgeUpdate{c.entity, rng->Uniform(0.1, 5.0)});
+      break;
+  }
+}
+
+TEST_P(AggregateFuzzTest, InvalidChainsRejectBothWays) {
+  // Differential rejection: a batch with one sequentially invalid update —
+  // anywhere in any stream, possibly followed by further valid-looking
+  // links of the same entity — must be rejected by the aggregated
+  // single-tick path with the status code the raw one-update-per-tick
+  // replay hits at exactly that update, and leave the server untouched.
+  // A fold that keeps only the last link would accept e.g.
+  // insert@p1 -> move(p999 -> p2) as a valid insert@p2.
+  const int cases = testing::FuzzIterations(24, 240);
   for (int c = 0; c < cases; ++c) {
     const std::uint64_t seed = testing::FuzzSeed(4000 + c);
     SCOPED_TRACE("case " + std::to_string(c) + " seed " +
@@ -220,6 +375,7 @@ TEST_P(AggregateFuzzTest, InvalidObjectChainsRejectBothWays) {
     RoadNetwork grid = testing::MakeGrid(4);
     const std::size_t num_edges = grid.NumEdges();
     MonitoringServer raw(testing::MakeGrid(4), GetParam());
+    MonitoringServer untouched(testing::MakeGrid(4), GetParam());
     MonitoringServer aggregated(std::move(grid), GetParam());
     Model model;
     {
@@ -229,68 +385,68 @@ TEST_P(AggregateFuzzTest, InvalidObjectChainsRejectBothWays) {
         setup.objects.push_back(ObjectUpdate{id, std::nullopt, pos});
         model.objects.emplace(id, pos);
       }
+      for (QueryId id = 0; id < 3; ++id) {
+        Model::Query q{RandomPoint(&rng, num_edges), 2};
+        setup.queries.push_back(
+            QueryUpdate{id, QueryUpdate::Kind::kInstall, q.pos, q.k});
+        model.queries.emplace(id, q);
+      }
       ASSERT_TRUE(raw.Tick(setup).ok());
+      ASSERT_TRUE(untouched.Tick(setup).ok());
       ASSERT_TRUE(aggregated.Tick(setup).ok());
     }
-    // A valid chained prefix...
+    const Model before = model;
+    // A valid prefix, the corrupted update, an optional next link of the
+    // same entity, and a valid suffix.
     UpdateBatch batch;
-    const int updates = 3 + static_cast<int>(rng.NextIndex(10));
-    for (int u = 0; u < updates; ++u) {
+    const int prefix = static_cast<int>(rng.NextIndex(10));
+    for (int u = 0; u < prefix; ++u) {
       AppendRandomUpdate(&rng, num_edges, &model, &batch);
     }
-    // ...then exactly one corrupted object update appended at the end.
-    switch (rng.NextIndex(3)) {
-      case 0: {  // Move with an old position that matches nothing.
-        const ObjectId id = model.objects.empty()
-                                ? ObjectId{0}
-                                : model.objects.begin()->first;
-        NetworkPoint wrong = RandomPoint(&rng, num_edges);
-        wrong.t = 2.0 + rng.NextDouble();  // Guaranteed mismatch: t > 1.
-        batch.objects.push_back(
-            ObjectUpdate{id, wrong, RandomPoint(&rng, num_edges)});
-        break;
-      }
-      case 1: {  // Insert of an object that is (or becomes) present.
-        ObjectId id = kNumObjectIds;  // Outside the generator's id space.
-        if (!model.objects.empty()) id = model.objects.begin()->first;
-        if (model.objects.count(id) == 0) {
-          // Everything died within the batch; make the target present.
-          const NetworkPoint pos = RandomPoint(&rng, num_edges);
-          batch.objects.push_back(ObjectUpdate{id, std::nullopt, pos});
-          model.objects.emplace(id, pos);
-        }
-        batch.objects.push_back(
-            ObjectUpdate{id, std::nullopt, RandomPoint(&rng, num_edges)});
-        break;
-      }
-      default: {  // Move of an object that does not exist.
-        const ObjectId id = kNumObjectIds + 7;  // Never used by the model.
-        batch.objects.push_back(ObjectUpdate{id, RandomPoint(&rng, num_edges),
-                                             RandomPoint(&rng, num_edges)});
-        break;
-      }
+    const Corruption corruption =
+        AppendCorruptUpdate(&rng, num_edges, &model, &batch);
+    if (rng.NextBool(0.6)) {
+      AppendFollowUp(&rng, num_edges, corruption, &model, &batch);
     }
-    // Aggregated: the whole batch must be rejected in one tick.
+    const int suffix = static_cast<int>(rng.NextIndex(10));
+    for (int u = 0; u < suffix; ++u) {
+      AppendRandomUpdate(&rng, num_edges, &model, &batch);
+    }
+    // Aggregated: the whole batch is rejected in one tick, untouched.
     const Status agg_status = aggregated.Tick(batch);
-    ASSERT_FALSE(agg_status.ok());
-    // Raw: every prefix update replays fine; the corrupted one rejects
-    // with the same status category.
+    EXPECT_EQ(agg_status.code(), corruption.code) << agg_status.ToString();
+    ExpectSameObservableState(before, untouched, aggregated);
+    // Raw: streams in order; every update before the corrupted one
+    // replays fine and the corrupted one is rejected.
+    Corruption::Stream failed_stream = Corruption::Stream::kObjects;
+    std::size_t failed_index = 0;
     Status raw_status = Status::OK();
+    const auto replay = [&](Corruption::Stream stream, std::size_t index,
+                            const UpdateBatch& one) {
+      if (!raw_status.ok()) return;
+      raw_status = raw.Tick(one);
+      failed_stream = stream;
+      failed_index = index;
+    };
     for (std::size_t i = 0; i < batch.objects.size(); ++i) {
       UpdateBatch one;
       one.objects.push_back(batch.objects[i]);
-      const Status st = raw.Tick(one);
-      if (i + 1 < batch.objects.size()) {
-        ASSERT_TRUE(st.ok()) << "prefix update " << i << ": "
-                             << st.ToString();
-      } else {
-        raw_status = st;
-      }
+      replay(Corruption::Stream::kObjects, i, one);
+    }
+    for (std::size_t i = 0; i < batch.queries.size(); ++i) {
+      UpdateBatch one;
+      one.queries.push_back(batch.queries[i]);
+      replay(Corruption::Stream::kQueries, i, one);
+    }
+    for (std::size_t i = 0; i < batch.edges.size(); ++i) {
+      UpdateBatch one;
+      one.edges.push_back(batch.edges[i]);
+      replay(Corruption::Stream::kEdges, i, one);
     }
     ASSERT_FALSE(raw_status.ok());
-    EXPECT_EQ(agg_status.code(), raw_status.code())
-        << "aggregated: " << agg_status.ToString()
-        << " raw: " << raw_status.ToString();
+    EXPECT_TRUE(failed_stream == corruption.stream);
+    EXPECT_EQ(failed_index, corruption.index);
+    EXPECT_EQ(raw_status.code(), corruption.code) << raw_status.ToString();
   }
 }
 

@@ -2,13 +2,17 @@
 // entity issues several updates in a single timestamp, the batch handed to
 // the algorithm must collapse to the last-write state — for every
 // algorithm, and with the same observable outcome as submitting the
-// collapsed update directly.
+// collapsed update directly. A batch that a one-update-per-tick replay
+// rejects is rejected whole, with the replay's status code, and leaves the
+// server untouched.
 
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
 #include "src/core/server.h"
+#include "src/util/macros.h"
 #include "tests/test_util.h"
 
 namespace cknn {
@@ -24,6 +28,50 @@ class TickAggregationTest : public ::testing::TestWithParam<Algorithm> {
     EXPECT_TRUE(server->AddObject(1, NetworkPoint{10, 0.5}).ok());
     EXPECT_TRUE(server->InstallQuery(0, NetworkPoint{2, 0.5}, 2).ok());
     return server;
+  }
+
+  /// Status of replaying `batch` one update per Tick on a fresh server
+  /// (streams in order: objects, queries, edges), stopping at the first
+  /// rejected update.
+  Status ReplayOneByOne(const UpdateBatch& batch) {
+    auto server = MakeServer();
+    UpdateBatch one;
+    for (const ObjectUpdate& u : batch.objects) {
+      one.objects = {u};
+      CKNN_RETURN_NOT_OK(server->Tick(one));
+    }
+    one.objects.clear();
+    for (const QueryUpdate& u : batch.queries) {
+      one.queries = {u};
+      CKNN_RETURN_NOT_OK(server->Tick(one));
+    }
+    one.queries.clear();
+    for (const EdgeUpdate& u : batch.edges) {
+      one.edges = {u};
+      CKNN_RETURN_NOT_OK(server->Tick(one));
+    }
+    return Status::OK();
+  }
+
+  /// `Tick(batch)` must fail with the replay's status code `expected` and
+  /// leave the server exactly as it was.
+  void ExpectRejectedUntouched(const UpdateBatch& batch, StatusCode expected) {
+    EXPECT_EQ(ReplayOneByOne(batch).code(), expected);
+    auto server = MakeServer();
+    auto untouched = MakeServer();
+    EXPECT_EQ(server->Tick(batch).code(), expected);
+    EXPECT_EQ(server->timestamp(), untouched->timestamp());
+    EXPECT_EQ(server->objects().size(), untouched->objects().size());
+    for (ObjectId id : {ObjectId{0}, ObjectId{1}}) {
+      EXPECT_EQ(server->objects().Position(id).value(),
+                untouched->objects().Position(id).value());
+    }
+    EXPECT_EQ(server->NumQueries(), untouched->NumQueries());
+    for (EdgeId e = 0; e < server->network().NumEdges(); ++e) {
+      EXPECT_EQ(server->network().edge(e).weight,
+                untouched->network().edge(e).weight);
+    }
+    ExpectSameResult(*server, *untouched);
   }
 
   /// Both servers must expose identical query-0 results.
@@ -247,36 +295,80 @@ TEST_P(TickAggregationTest, DuplicateInstallOfNewQuerySurfacesAlreadyExists) {
   EXPECT_EQ(server->ResultOf(5), nullptr);
 }
 
-TEST(AggregateBatchTest, InconsistentObjectChainIsEmittedRawNotFolded) {
+TEST_P(TickAggregationTest, InconsistentObjectChainIsRejectedUntouched) {
   // insert@p1 -> move(old=p999 -> p2): the old position contradicts the
-  // running chain, so the fold must stop and emit the offending update
-  // verbatim (for stage-2 validation to reject) instead of laundering the
-  // pair into a single plausible insert@p2.
+  // running chain. Folding the pair would launder it into a plausible
+  // insert@p2; the replay rejects the move.
   UpdateBatch batch;
-  batch.objects.push_back(ObjectUpdate{1, std::nullopt, NetworkPoint{0, 0.1}});
+  batch.objects.push_back(ObjectUpdate{7, std::nullopt, NetworkPoint{0, 0.1}});
   batch.objects.push_back(
-      ObjectUpdate{1, NetworkPoint{9, 0.9}, NetworkPoint{0, 0.2}});
-  const UpdateBatch out = MonitoringServer::AggregateBatch(batch);
-  ASSERT_EQ(out.objects.size(), 2u);
-  EXPECT_EQ(out.objects[0], batch.objects[0]);
-  EXPECT_EQ(out.objects[1], batch.objects[1]);
+      ObjectUpdate{7, NetworkPoint{9, 0.9}, NetworkPoint{0, 0.2}});
+  ExpectRejectedUntouched(batch, StatusCode::kInvalidArgument);
 }
 
-TEST(AggregateBatchTest, BrokenChainKeepsItsConsistentPrefixVerbatim) {
-  // insert -> delete -> inconsistent move: the prefix folds to a
-  // {nullopt, nullopt} no-op, but erasing it would delete the evidence
-  // the validator needs (the insert is where a sequential replay fails
-  // if the id already exists) — the whole chain must come out raw.
+TEST_P(TickAggregationTest, BrokenChainIsRejectedUntouched) {
+  // insert -> delete -> move: the prefix cancels out, but the move of the
+  // now-absent object is where the replay fails.
   UpdateBatch batch;
-  batch.objects.push_back(ObjectUpdate{1, std::nullopt, NetworkPoint{0, 0.1}});
-  batch.objects.push_back(ObjectUpdate{1, NetworkPoint{0, 0.1}, std::nullopt});
+  batch.objects.push_back(ObjectUpdate{7, std::nullopt, NetworkPoint{0, 0.1}});
+  batch.objects.push_back(ObjectUpdate{7, NetworkPoint{0, 0.1}, std::nullopt});
   batch.objects.push_back(
-      ObjectUpdate{1, NetworkPoint{9, 0.9}, NetworkPoint{0, 0.2}});
-  const UpdateBatch out = MonitoringServer::AggregateBatch(batch);
-  ASSERT_EQ(out.objects.size(), 3u);
-  EXPECT_EQ(out.objects[0], batch.objects[0]);
-  EXPECT_EQ(out.objects[1], batch.objects[1]);
-  EXPECT_EQ(out.objects[2], batch.objects[2]);
+      ObjectUpdate{7, NetworkPoint{9, 0.9}, NetworkPoint{0, 0.2}});
+  ExpectRejectedUntouched(batch, StatusCode::kNotFound);
+}
+
+// Laundering: an invalid update followed by a valid one of the same
+// entity. A fold that kept only the last link would accept each batch.
+
+TEST_P(TickAggregationTest, ObjectInsertOnUnknownEdgeThenMoveIsRejected) {
+  UpdateBatch batch;
+  batch.objects.push_back(
+      ObjectUpdate{7, std::nullopt, NetworkPoint{999, 0.5}});
+  batch.objects.push_back(
+      ObjectUpdate{7, NetworkPoint{999, 0.5}, NetworkPoint{3, 0.5}});
+  ExpectRejectedUntouched(batch, StatusCode::kInvalidArgument);
+}
+
+TEST_P(TickAggregationTest, ObjectMoveOffTheEdgeThenMoveIsRejected) {
+  UpdateBatch batch;
+  batch.objects.push_back(
+      ObjectUpdate{0, NetworkPoint{0, 0.25}, NetworkPoint{5, 1.5}});
+  batch.objects.push_back(
+      ObjectUpdate{0, NetworkPoint{5, 1.5}, NetworkPoint{5, 0.5}});
+  ExpectRejectedUntouched(batch, StatusCode::kInvalidArgument);
+}
+
+TEST_P(TickAggregationTest, QueryInstallOnUnknownEdgeThenMoveIsRejected) {
+  UpdateBatch batch;
+  batch.queries.push_back(
+      QueryUpdate{5, QueryUpdate::Kind::kInstall, NetworkPoint{999, 0.5}, 2});
+  batch.queries.push_back(
+      QueryUpdate{5, QueryUpdate::Kind::kMove, NetworkPoint{3, 0.5}, 0});
+  ExpectRejectedUntouched(batch, StatusCode::kInvalidArgument);
+}
+
+TEST_P(TickAggregationTest, QueryInstallWithZeroKThenTerminateIsRejected) {
+  UpdateBatch batch;
+  batch.queries.push_back(
+      QueryUpdate{5, QueryUpdate::Kind::kInstall, NetworkPoint{3, 0.5}, 0});
+  batch.queries.push_back(
+      QueryUpdate{5, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
+  ExpectRejectedUntouched(batch, StatusCode::kInvalidArgument);
+}
+
+TEST_P(TickAggregationTest, NaNEdgeWeightThenValidWeightIsRejected) {
+  UpdateBatch batch;
+  batch.edges.push_back(
+      EdgeUpdate{2, std::numeric_limits<double>::quiet_NaN()});
+  batch.edges.push_back(EdgeUpdate{2, 2.0});
+  ExpectRejectedUntouched(batch, StatusCode::kInvalidArgument);
+}
+
+TEST_P(TickAggregationTest, NegativeEdgeWeightThenValidWeightIsRejected) {
+  UpdateBatch batch;
+  batch.edges.push_back(EdgeUpdate{2, -1.0});
+  batch.edges.push_back(EdgeUpdate{2, 2.0});
+  ExpectRejectedUntouched(batch, StatusCode::kInvalidArgument);
 }
 
 TEST(AggregateBatchTest, NoOpObjectUpdateDoesNotPoisonTheChain) {

@@ -251,17 +251,14 @@ TEST(ServerTest, AggregateMergesObjectUpdates) {
   EXPECT_DOUBLE_EQ(out.objects[0].new_pos->t, 0.3);
 }
 
-TEST(ServerTest, AggregateCancelsAppearDisappearIntoARetainedNoOp) {
-  // The pair folds to a {nullopt, nullopt} slot that AggregateBatch keeps
-  // as evidence the chain began with an insert (validation rejects it
-  // when the id already exists); the server drops it after validation.
+TEST(ServerTest, AggregateCancelsAppearDisappear) {
+  // Validation runs on the raw updates before the fold, so the fold needs
+  // no evidence that the chain began with an insert.
   UpdateBatch batch;
   batch.objects.push_back(ObjectUpdate{1, std::nullopt, NetworkPoint{0, 0.2}});
   batch.objects.push_back(ObjectUpdate{1, NetworkPoint{0, 0.2}, std::nullopt});
   const UpdateBatch out = MonitoringServer::AggregateBatch(batch);
-  ASSERT_EQ(out.objects.size(), 1u);
-  EXPECT_FALSE(out.objects[0].old_pos.has_value());
-  EXPECT_FALSE(out.objects[0].new_pos.has_value());
+  EXPECT_TRUE(out.objects.empty());
 }
 
 TEST(ServerTest, CancelledAppearanceOfAnExistingObjectStillRejects) {
