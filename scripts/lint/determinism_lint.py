@@ -18,6 +18,9 @@ paths pick up a dependence on something the language does not order:
                    the simulated timestamp, never on wall time.
   raw-rand         rand() / srand() / random() / std::random_device.  All
                    randomness flows through the seeded cknn::Rng.
+  env-read         getenv() / secure_getenv().  Engine behaviour is fixed by
+                   constructor arguments and flags, never switched by the
+                   process environment.
 
 Scanned by default: src/core, src/graph, src/spatial (the result-producing
 layers).  src/sim (metrics/stopwatches) and src/serve (latency timestamps)
@@ -55,6 +58,9 @@ RULES = {
         "simulated timestamp only; metrics live in src/sim)",
     "raw-rand":
         "unseeded randomness (use the seeded cknn::Rng so runs replay)",
+    "env-read":
+        "environment read in a result path (pass the setting in explicitly; "
+        "the environment must not switch engine behaviour)",
 }
 
 DEFAULT_DIRS = ("src/core", "src/graph", "src/spatial")
@@ -82,6 +88,7 @@ WALL_CLOCK_RE = re.compile(
 RAW_RAND_RE = re.compile(
     r"\brand\s*\(\s*\)|\bsrand\s*\(|\brandom\s*\(\s*\)|"
     r"std\s*::\s*random_device\b|\brand_r\s*\(")
+ENV_READ_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 
 def strip_comments_and_strings(text):
@@ -233,6 +240,8 @@ def lint_file(path, text=None):
             hits.append((i, "wall-clock", "wall-clock read"))
         if RAW_RAND_RE.search(line):
             hits.append((i, "raw-rand", "unseeded randomness"))
+        if ENV_READ_RE.search(line):
+            hits.append((i, "env-read", "environment read"))
 
     findings = []
     for lineno, rule, detail in hits:

@@ -1,40 +1,8 @@
 #include "src/core/knn_search.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "src/util/macros.h"
 
 namespace cknn {
-
-namespace {
-
-FrontierQueueKind KindFromEnv() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): one-shot read before any
-  // thread is spawned; nothing in the tree calls setenv.
-  const char* env = std::getenv("CKNN_FRONTIER_QUEUE");
-  if (env != nullptr && std::strcmp(env, "bucket") == 0) {
-    return FrontierQueueKind::kBucketQueue;
-  }
-  // "binary", unset, or unrecognized all mean the default heap.
-  return FrontierQueueKind::kBinaryHeap;
-}
-
-std::atomic<FrontierQueueKind>& DefaultKindSlot() {
-  static std::atomic<FrontierQueueKind> kind{KindFromEnv()};
-  return kind;
-}
-
-}  // namespace
-
-FrontierQueueKind DefaultFrontierQueueKind() {
-  return DefaultKindSlot().load(std::memory_order_relaxed);
-}
-
-void SetDefaultFrontierQueueKind(FrontierQueueKind kind) {
-  DefaultKindSlot().store(kind, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -102,10 +70,10 @@ void ExpandToK(const RoadNetwork& net, const ObjectTable& objects, int k,
 
   // Main loop (Fig. 2 lines 7-23). Settling while dist <= KthDist keeps the
   // tie-zone at the k-th distance inside the verified region.
-  while (!frontier->QueueEmpty()) {
+  while (!frontier->heap.empty()) {
     const double kth = candidates->KthDist(k);
-    if (frontier->TopKey() > kth) break;
-    const auto [id, dist] = frontier->PopTop();
+    if (frontier->heap.Top().key > kth) break;
+    const auto [id, dist] = frontier->heap.Pop();
     const NodeId n = static_cast<NodeId>(id);
     const auto* label_ptr = frontier->pending.Find(n);
     CKNN_DCHECK(label_ptr != nullptr);

@@ -8,7 +8,6 @@
 #include "src/core/object_table.h"
 #include "src/core/top_k.h"
 #include "src/graph/road_network.h"
-#include "src/util/bucket_queue.h"
 #include "src/util/dense_id_map.h"
 #include "src/util/indexed_min_heap.h"
 #include "src/util/mem.h"
@@ -22,20 +21,6 @@ struct ExpandStats {
   std::size_t objects_offered = 0;
 };
 
-/// Which priority structure a Frontier uses. The binary heap is the
-/// default; the bucket queue is the experimental alternative (exact for
-/// any bucket width, see src/util/bucket_queue.h) selectable through the
-/// `CKNN_FRONTIER_QUEUE` environment variable (`binary` | `bucket`) or the
-/// setter below. Flip the default only with bench numbers in hand
-/// (docs/expansion.md).
-enum class FrontierQueueKind { kBinaryHeap, kBucketQueue };
-
-/// Process-wide default kind for newly constructed Frontiers. Initialized
-/// once from CKNN_FRONTIER_QUEUE; the setter exists for tests/benches.
-/// Existing Frontiers keep the kind they were built with.
-FrontierQueueKind DefaultFrontierQueueKind();
-void SetDefaultFrontierQueueKind(FrontierQueueKind kind);
-
 /// \brief The expansion frontier — the persistent representation of the
 /// paper's *marks*: every un-verified node reachable from the settled
 /// region, keyed by its best tentative distance, with the tree label it
@@ -47,42 +32,12 @@ void SetDefaultFrontierQueueKind(FrontierQueueKind kind);
 /// edge update prunes part of the tree, only the pruned boundary has to be
 /// repaired (see ima.cc).
 struct Frontier {
-  /// Fixed at construction (one branch per operation; the two structures
-  /// are never live at once).
-  const FrontierQueueKind kind;
   IndexedMinHeap heap;
-  BucketQueue bucket;
   /// Tentative tree label (parent, via edge) of each en-heaped node.
   DenseIdMap<std::pair<NodeId, EdgeId>> pending;
 
-  Frontier() : kind(DefaultFrontierQueueKind()) {}
-
-  bool QueueEmpty() const {
-    return kind == FrontierQueueKind::kBinaryHeap ? heap.empty()
-                                                  : bucket.empty();
-  }
-  std::size_t QueueSize() const {
-    return kind == FrontierQueueKind::kBinaryHeap ? heap.size()
-                                                  : bucket.size();
-  }
-
-  /// Key of the closest tentative node. Checked error when empty.
-  double TopKey() {
-    return kind == FrontierQueueKind::kBinaryHeap ? heap.Top().key
-                                                  : bucket.Top().key;
-  }
-
-  /// Removes and returns the closest tentative node (its label stays in
-  /// `pending` for the caller to consume).
-  IndexedMinHeap::Entry PopTop() {
-    if (kind == FrontierQueueKind::kBinaryHeap) return heap.Pop();
-    const BucketQueue::Entry e = bucket.Pop();
-    return IndexedMinHeap::Entry{e.id, e.key};
-  }
-
   void Clear() {
     heap.Clear();
-    bucket.Clear();
     pending.Clear();
   }
 
@@ -91,27 +46,21 @@ struct Frontier {
   bool Relax(const ExpansionState& state, NodeId n, double dist,
              NodeId parent, EdgeId via) {
     if (state.IsSettled(n)) return false;
-    const bool changed = kind == FrontierQueueKind::kBinaryHeap
-                             ? heap.PushOrDecrease(n, dist)
-                             : bucket.PushOrDecrease(n, dist);
+    const bool changed = heap.PushOrDecrease(n, dist);
     if (changed) pending[n] = {parent, via};
     return changed;
   }
 
   /// Drops a tentative node if present.
   void Erase(NodeId n) {
-    if (kind == FrontierQueueKind::kBinaryHeap) {
-      heap.Erase(n);
-    } else {
-      bucket.Erase(n);
-    }
+    heap.Erase(n);
     pending.Erase(n);
   }
 
-  /// Estimated heap footprint: the priority structure (entry array plus its
-  /// position index) and the tentative-label map.
+  /// Estimated heap footprint: the heap (entry array plus its position
+  /// index) and the tentative-label map.
   std::size_t MemoryBytes() const {
-    return heap.MemoryBytes() + bucket.MemoryBytes() + pending.MemoryBytes();
+    return heap.MemoryBytes() + pending.MemoryBytes();
   }
 };
 

@@ -317,8 +317,7 @@ MonitoringServer::MonitoringServer(RoadNetwork network, Algorithm algorithm,
       algorithm_(algorithm),
       pipeline_depth_(pipeline_depth),
       shards_(RetiledPrimary(&network_, num_tiles), &objects_, algorithm,
-              num_shards,
-              /*pipelined=*/pipeline_depth > 1) {
+              num_shards) {
   CKNN_CHECK(pipeline_depth >= 1 && pipeline_depth <= 2);
 }
 
@@ -380,48 +379,32 @@ void MonitoringServer::ApplyObjectUpdates(const UpdateBatch& aggregated) {
   }
 }
 
-Status MonitoringServer::SerialTick(const UpdateBatch& batch) {
-  // Stages 1–2: validate, then fold (Section 4.5 preprocessing), before
-  // anything mutates state (the engines CKNN_CHECK internally).
-  Result<UpdateBatch> prepared = Prepare(batch);
-  CKNN_RETURN_NOT_OK(prepared.status());
-  // Stage 3.
-  ApplyObjectUpdates(prepared.value());
-  // Stages 4+5: per-shard maintenance (parallel when num_shards > 1),
-  // statuses merged in shard order. Stage-2 validation makes a shard
-  // failure unreachable; were one to slip through anyway, the table would
-  // already be mutated with the engines unrouted, so a desynced-state
-  // Status must not escape as if the server were still usable.
-  const Status shard_status = shards_.ProcessTimestamp(prepared.value());
-  CKNN_CHECK(shard_status.ok());
-  ++timestamp_;
-  return Status::OK();
-}
-
 Status MonitoringServer::SubmitBatch(const UpdateBatch& batch) {
-  if (pipeline_depth_ == 1) return SerialTick(batch);
-  // Depth 2: stages 1–2 of this tick run here, on the submitting thread,
-  // while the previous tick's shards are still maintaining on the pool
+  // Stages 1–2: validate, then fold (Section 4.5 preprocessing), before
+  // anything mutates state (the engines CKNN_CHECK internally). At depth 2
+  // this overlaps the previous tick's shard maintenance on the pool
   // workers (docs/pipeline.md).
   Result<UpdateBatch> prepared = Prepare(batch);
   CKNN_RETURN_NOT_OK(prepared.status());
   // Apply barrier: the shared table may only mutate once the in-flight
-  // tick has fully retired (same CKNN_CHECK promotion as SerialTick).
-  if (shards_.InFlight()) {
-    const Status shard_status = shards_.WaitProcessTimestamp();
-    // cknn-lint: allow(abort) bad input is bisected to Status pre-tick; a failed tick is corrupted engine state
-    CKNN_CHECK(shard_status.ok());
-  }
+  // tick has fully retired.
+  CKNN_RETURN_NOT_OK(Drain());
+  // Stage 3.
   ApplyObjectUpdates(prepared.value());
-  // BeginProcessTimestamp copies the batch into per-shard scratch, so the
-  // prepared batch does not need to outlive this call.
-  shards_.BeginProcessTimestamp(prepared.value());
+  // Stages 4+5: per-shard maintenance, statuses merged in shard order by
+  // the Drain that retires this tick.
+  shards_.BeginProcessTimestamp(std::move(prepared).value());
   ++timestamp_;
+  if (pipeline_depth_ == 1) return Drain();
   return Status::OK();
 }
 
 Status MonitoringServer::Drain() {
   if (shards_.InFlight()) {
+    // Stage-2 validation makes a shard failure unreachable; were one to
+    // slip through anyway, the table would already be mutated with the
+    // engines unrouted, so a desynced-state Status must not escape as if
+    // the server were still usable.
     const Status shard_status = shards_.WaitProcessTimestamp();
     CKNN_CHECK(shard_status.ok());
   }

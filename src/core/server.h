@@ -39,13 +39,14 @@ namespace cknn {
 /// tolerance for GMA, whose active-node grouping is shard-local
 /// (docs/sharding.md).
 ///
-/// With `pipeline_depth == 2` the server additionally exposes asynchronous
-/// ingest (`SubmitBatch`/`Drain`, docs/pipeline.md): stages 1–2 of tick
-/// t+1 run on the submitting thread while the shards maintain tick t on
-/// the pool workers, with a strict apply barrier (stage 3 waits for the
-/// in-flight tick) keeping every result byte-identical to serial
-/// execution. `pipeline_depth == 1` is the serial degenerate case, where
-/// `SubmitBatch` is `Tick`.
+/// Every tick takes one path, `SubmitBatch` (docs/pipeline.md): stages
+/// 1–2 run on the submitting thread, the apply barrier waits for any
+/// in-flight tick, stage 3 applies, and stage 4 starts detached on the
+/// shards' pool workers. With `pipeline_depth == 2` `SubmitBatch` returns
+/// there, so stages 1–2 of tick t+1 overlap the maintenance of tick t;
+/// the strict apply barrier keeps every result byte-identical to serial
+/// execution. With `pipeline_depth == 1` it drains before returning, so
+/// depth-1 `SubmitBatch` is `Tick`.
 ///
 /// Positions may be given directly as `NetworkPoint`s or as raw
 /// coordinates snapped through the spatial index.
@@ -71,13 +72,14 @@ class MonitoringServer {
   /// by `Drain`, at every pipeline depth.
   Status Tick(const UpdateBatch& batch);
 
-  /// Submits one timestamp of updates. At depth 1 this is `Tick`. At
-  /// depth 2 it validates and folds the batch on the calling thread
-  /// — overlapping the in-flight tick's shard maintenance — then waits
-  /// for that tick (the apply barrier), applies the object updates, and
-  /// starts this tick's maintenance detached before returning. Validation
-  /// errors are reported synchronously and leave the server exactly as if
-  /// the call had not been made (any in-flight tick keeps running).
+  /// Submits one timestamp of updates: validates and folds the batch on
+  /// the calling thread — overlapping any in-flight tick's shard
+  /// maintenance — then waits for that tick (the apply barrier), applies
+  /// the object updates, and starts this tick's maintenance detached. At
+  /// depth 2 it returns with the tick in flight; at depth 1 it drains
+  /// first, which makes it `Tick`. Validation errors are reported
+  /// synchronously and leave the server exactly as if the call had not
+  /// been made (any in-flight tick keeps running).
   Status SubmitBatch(const UpdateBatch& batch);
 
   /// Blocks until no tick is in flight. Must be called (or implied via
@@ -168,9 +170,6 @@ class MonitoringServer {
 
   /// Stage 3: applies the batch's object updates to the shared table.
   void ApplyObjectUpdates(const UpdateBatch& aggregated);
-
-  /// The depth-1 synchronous pipeline (stages 1–5 in one call).
-  Status SerialTick(const UpdateBatch& batch);
 
   RoadNetwork network_;
   ObjectTable objects_;

@@ -29,7 +29,8 @@ std::unique_ptr<Monitor> MakeMonitor(Algorithm algorithm, RoadNetwork* net,
 }  // namespace
 
 ShardSet::ShardSet(RoadNetwork* primary_network, ObjectTable* objects,
-                   Algorithm algorithm, int num_shards, bool pipelined) {
+                   Algorithm algorithm, int num_shards)
+    : pool_(num_shards) {
   CKNN_CHECK(primary_network != nullptr);
   CKNN_CHECK(objects != nullptr);
   CKNN_CHECK(num_shards >= 1);
@@ -52,11 +53,6 @@ ShardSet::ShardSet(RoadNetwork* primary_network, ObjectTable* objects,
     shard.monitor = MakeMonitor(algorithm, net, objects);
     shard.monitor->set_object_table_externally_applied(true);
   }
-  // In pipelined mode every shard must be runnable off the submitting
-  // thread, so the pool holds one worker per shard; in blocking mode the
-  // caller participates and `num_shards - 1` workers suffice.
-  const int workers = pipelined ? num_shards : num_shards - 1;
-  if (workers > 0) pool_ = std::make_unique<ThreadPool>(workers);
 }
 
 ShardSet::~ShardSet() {
@@ -69,24 +65,34 @@ ShardSet::~ShardSet() {
   }
 }
 
-void ShardSet::Partition(const UpdateBatch& aggregated) {
+void ShardSet::Partition(UpdateBatch aggregated) {
   // The broadcast halves are copied per shard because Monitor consumes one
   // self-contained UpdateBatch. The copies are flat memcpy-sized records
   // into vectors that keep their capacity across ticks, and every shard
   // already does O(batch) routing work on them — so this adds a constant
   // factor to a term the maintenance phase dominates. Revisit (share the
   // broadcast vectors through the Monitor interface) if profiles disagree.
+  Shard& last = shards_.back();
   for (Shard& shard : shards_) {
-    shard.sub.objects = aggregated.objects;  // Broadcast.
-    shard.sub.edges = aggregated.edges;      // Broadcast.
+    if (&shard != &last) {
+      shard.sub.objects = aggregated.objects;  // Broadcast.
+      shard.sub.edges = aggregated.edges;      // Broadcast.
+    }
     shard.sub.queries.clear();
     shard.status = Status::OK();
   }
-  // Query updates go to the owning shard only; relative order (including
-  // terminate-then-reinstall pairs) is preserved per shard.
-  for (const QueryUpdate& u : aggregated.queries) {
-    shards_[static_cast<std::size_t>(ShardOf(u.id))].sub.queries.push_back(u);
+  if (shards_.size() == 1) {
+    last.sub.queries = std::move(aggregated.queries);
+  } else {
+    // Query updates go to the owning shard only; relative order (including
+    // terminate-then-reinstall pairs) is preserved per shard.
+    for (const QueryUpdate& u : aggregated.queries) {
+      shards_[static_cast<std::size_t>(ShardOf(u.id))].sub.queries.push_back(
+          u);
+    }
   }
+  last.sub.objects = std::move(aggregated.objects);
+  last.sub.edges = std::move(aggregated.edges);
 }
 
 void ShardSet::UpdateRegistry(const UpdateBatch& aggregated) {
@@ -113,49 +119,26 @@ Status ShardSet::MergeStatuses() const {
   return Status::OK();
 }
 
-Status ShardSet::ProcessTimestamp(const UpdateBatch& aggregated) {
+void ShardSet::BeginProcessTimestamp(UpdateBatch aggregated) {
   owner_role_.Assert();
   CKNN_CHECK(!in_flight_);
   UpdateRegistry(aggregated);
-  if (shards_.size() == 1) {
-    // Single shard: the serial path, no partition copies, no pool
-    // hand-off even when one exists (pipelined single-shard sets fall
-    // back to it through Begin/Wait instead).
-    return shards_[0].monitor->ProcessTimestamp(aggregated);
-  }
-  Partition(aggregated);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards_.size());
+  Partition(std::move(aggregated));
+  tasks_.clear();
+  tasks_.reserve(shards_.size());
   for (Shard& shard : shards_) {
-    tasks.push_back([&shard] {
-      shard.status = shard.monitor->ProcessTimestamp(shard.sub);
-    });
-  }
-  pool_->RunAll(tasks);
-  return MergeStatuses();
-}
-
-void ShardSet::BeginProcessTimestamp(const UpdateBatch& aggregated) {
-  owner_role_.Assert();
-  CKNN_CHECK(!in_flight_);
-  CKNN_CHECK(pool_ != nullptr);  // Requires pipelined construction.
-  UpdateRegistry(aggregated);
-  Partition(aggregated);
-  detached_tasks_.clear();
-  detached_tasks_.reserve(shards_.size());
-  for (Shard& shard : shards_) {
-    detached_tasks_.push_back([&shard] {
+    tasks_.push_back([&shard] {
       shard.status = shard.monitor->ProcessTimestamp(shard.sub);
     });
   }
   in_flight_ = true;
-  pool_->Begin(detached_tasks_);
+  pool_.Begin(tasks_);
 }
 
 Status ShardSet::WaitProcessTimestamp() {
   owner_role_.Assert();
   CKNN_CHECK(in_flight_);
-  pool_->Wait();
+  pool_.Wait();
   in_flight_ = false;
   return MergeStatuses();
 }

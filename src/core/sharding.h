@@ -43,17 +43,14 @@ namespace cknn {
 /// broadcast), the shards run their maintenance in parallel on a fixed
 /// thread pool, and statuses/metrics are merged in shard order — so the
 /// outcome is deterministic and per-query results are identical for every
-/// shard count, including `num_shards == 1`, which runs inline without a
-/// pool.
+/// shard count, including `num_shards == 1`.
 ///
-/// Two execution modes:
-///  * blocking (`ProcessTimestamp`) — the classic fork/join tick;
-///  * detached (`BeginProcessTimestamp` / `WaitProcessTimestamp`) — the
-///    shard maintenance runs on pool workers while the calling thread is
-///    free to prepare the next tick (the server's pipelined ingest). Only
-///    available when the set was built with `pipelined = true`, which
-///    sizes the pool at `num_shards` workers instead of `num_shards - 1`
-///    so every shard can run in the background.
+/// A tick runs detached: `BeginProcessTimestamp` hands one task per shard
+/// to a pool of `num_shards` workers and returns, leaving the calling
+/// thread free to prepare the next tick (the server's pipelined ingest);
+/// `WaitProcessTimestamp` joins it, with the calling thread helping run
+/// any shard no worker has claimed yet. A blocking tick is the two calls
+/// back to back.
 class ShardSet {
  public:
   /// \param primary_network the server's network; shard 0 monitors it in
@@ -61,13 +58,10 @@ class ShardSet {
   ///        of it (inheriting its tile partition). Must outlive the
   ///        shard set.
   /// \param objects the shared object table, mutated only by the caller
-  ///        (between ticks / before ProcessTimestamp). Must outlive the
-  ///        shard set.
-  /// \param pipelined reserve a pool worker per shard so
-  ///        `BeginProcessTimestamp` can run every shard detached from the
-  ///        calling thread.
+  ///        (between ticks, before BeginProcessTimestamp). Must outlive
+  ///        the shard set.
   ShardSet(RoadNetwork* primary_network, ObjectTable* objects,
-           Algorithm algorithm, int num_shards, bool pipelined = false);
+           Algorithm algorithm, int num_shards);
 
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
@@ -83,18 +77,13 @@ class ShardSet {
     return static_cast<int>(id % shards_.size());
   }
 
-  /// Runs one timestamp of (already aggregated and validated) updates
-  /// through every shard — in parallel when more than one shard exists —
-  /// and returns the first non-OK shard status in shard order. The
-  /// caller has already applied the batch's object updates to the shared
-  /// table.
-  Status ProcessTimestamp(const UpdateBatch& aggregated);
-
-  /// Starts one timestamp detached: partitions `aggregated` (copied into
-  /// per-shard scratch, so the argument only needs to live through this
-  /// call) and hands the shard tasks to the pool workers. Requires
-  /// pipelined construction and no tick already in flight.
-  void BeginProcessTimestamp(const UpdateBatch& aggregated);
+  /// Starts one timestamp of (already aggregated and validated) updates
+  /// detached: partitions `aggregated` into per-shard batches and hands
+  /// the shard tasks to the pool workers. The caller has already applied
+  /// the batch's object updates to the shared table. The batch is taken
+  /// by value and moved into the last shard's slot, so a single shard
+  /// copies nothing. Requires no tick already in flight.
+  void BeginProcessTimestamp(UpdateBatch aggregated);
 
   /// Blocks until the detached tick finished (helping drain unstarted
   /// shards) and returns the first non-OK shard status in shard order.
@@ -180,8 +169,10 @@ class ShardSet {
     Status status;
   };
 
-  /// Splits `aggregated` into the per-shard `sub` batches.
-  void Partition(const UpdateBatch& aggregated) CKNN_REQUIRES(owner_role_);
+  /// Splits `aggregated` into the per-shard `sub` batches: query updates
+  /// go to their owning shard, object and edge updates are copied to
+  /// every shard but the last, which takes them by move.
+  void Partition(UpdateBatch aggregated) CKNN_REQUIRES(owner_role_);
 
   /// Folds the batch's install/terminate updates into `registered_`
   /// (called on the submitting thread, before the shards run).
@@ -203,15 +194,12 @@ class ShardSet {
   /// Query ids registered after every tick submitted so far; mirrors the
   /// engines' registries for validated input (see IsRegistered).
   std::unordered_set<QueryId> registered_ CKNN_GUARDED_BY(owner_role_);
-  /// Per-tick task closures of the detached mode; must outlive the pool
-  /// batch, so they live here rather than on the Begin caller's stack.
-  std::vector<std::function<void()>> detached_tasks_
-      CKNN_GUARDED_BY(owner_role_);
+  /// Per-tick task closures, one per shard; must outlive the pool batch,
+  /// so they live here rather than on the Begin caller's stack.
+  std::vector<std::function<void()>> tasks_ CKNN_GUARDED_BY(owner_role_);
   bool in_flight_ CKNN_GUARDED_BY(owner_role_) = false;
-  /// Workers for the parallel phase: `num_shards - 1` blocking-mode
-  /// workers (the calling thread runs the remaining shard), or
-  /// `num_shards` in pipelined mode. nullptr for a serial single shard.
-  std::unique_ptr<ThreadPool> pool_;
+  /// One worker per shard, so every shard can run off the calling thread.
+  ThreadPool pool_;
 };
 
 }  // namespace cknn

@@ -1,7 +1,10 @@
 #include "src/serve/protocol.h"
 
 #include <cstring>
+#include <limits>
 #include <string>
+
+#include "src/util/macros.h"
 
 namespace cknn::serve {
 
@@ -294,36 +297,66 @@ Result<Response> DecodeResponse(const std::uint8_t* data, std::size_t size) {
   return response;
 }
 
-Result<ServeRequest> ToServeRequest(const Message& message) {
+Status CheckWireId(std::uint64_t id, const char* what) {
+  if (id > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument(std::string(what) + " " +
+                                   std::to_string(id) +
+                                   " exceeds the 32-bit id range");
+  }
+  return Status::OK();
+}
+
+namespace {
+
+/// The request for update op `op`, reading only the fields its opcode
+/// carries. kUpdateWeight addresses an edge: its edge field is the id.
+Result<ServeRequest> UpdateRequest(ServeRequest::Op op,
+                                   const Message& message, bool has_pos) {
   ServeRequest request;
+  request.op = op;
+  if (op == ServeRequest::Op::kUpdateWeight) {
+    CKNN_RETURN_NOT_OK(CheckWireId(message.edge, "edge"));
+    request.id = message.edge;
+    request.weight = message.weight;
+    return request;
+  }
+  CKNN_RETURN_NOT_OK(CheckWireId(message.id, "id"));
   request.id = message.id;
-  request.pos =
-      NetworkPoint{static_cast<EdgeId>(message.edge), message.t};
-  request.k = static_cast<int>(message.k);
-  request.weight = message.weight;
+  if (has_pos) {
+    CKNN_RETURN_NOT_OK(CheckWireId(message.edge, "edge"));
+    request.pos =
+        NetworkPoint{static_cast<EdgeId>(message.edge), message.t};
+  }
+  if (op == ServeRequest::Op::kInstallQuery) {
+    if (message.k > static_cast<std::uint32_t>(
+                        std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument("k " + std::to_string(message.k) +
+                                     " exceeds INT_MAX");
+    }
+    request.k = static_cast<int>(message.k);
+  }
+  return request;
+}
+
+}  // namespace
+
+Result<ServeRequest> ToServeRequest(const Message& message) {
+  using Op = ServeRequest::Op;
   switch (message.op) {
     case OpCode::kInstallQuery:
-      request.op = ServeRequest::Op::kInstallQuery;
-      return request;
+      return UpdateRequest(Op::kInstallQuery, message, /*has_pos=*/true);
     case OpCode::kMoveQuery:
-      request.op = ServeRequest::Op::kMoveQuery;
-      return request;
+      return UpdateRequest(Op::kMoveQuery, message, /*has_pos=*/true);
     case OpCode::kTerminateQuery:
-      request.op = ServeRequest::Op::kTerminateQuery;
-      return request;
+      return UpdateRequest(Op::kTerminateQuery, message, /*has_pos=*/false);
     case OpCode::kAddObject:
-      request.op = ServeRequest::Op::kAddObject;
-      return request;
+      return UpdateRequest(Op::kAddObject, message, /*has_pos=*/true);
     case OpCode::kMoveObject:
-      request.op = ServeRequest::Op::kMoveObject;
-      return request;
+      return UpdateRequest(Op::kMoveObject, message, /*has_pos=*/true);
     case OpCode::kRemoveObject:
-      request.op = ServeRequest::Op::kRemoveObject;
-      return request;
+      return UpdateRequest(Op::kRemoveObject, message, /*has_pos=*/false);
     case OpCode::kUpdateWeight:
-      request.op = ServeRequest::Op::kUpdateWeight;
-      request.id = message.edge;
-      return request;
+      return UpdateRequest(Op::kUpdateWeight, message, /*has_pos=*/false);
     case OpCode::kRead:
     case OpCode::kFlush:
     case OpCode::kStats:

@@ -95,8 +95,14 @@ Result<Message> DecodeMessage(const std::uint8_t* data, std::size_t size);
 Result<Response> DecodeResponse(const std::uint8_t* data, std::size_t size);
 /// @}
 
+/// InvalidArgument when a wire id (`what` names the field) does not fit
+/// the engine's 32-bit id types: truncating it would alias another entity.
+Status CheckWireId(std::uint64_t id, const char* what);
+
 /// The decoded update ops as a ServeRequest (kRead/kFlush/kStats/kShutdown
-/// have no such representation; InvalidArgument).
+/// have no such representation; InvalidArgument). Only the fields the
+/// opcode carries are read; an id or edge above 2^32 - 1, or an install's
+/// k above INT_MAX, is rejected with InvalidArgument.
 Result<ServeRequest> ToServeRequest(const Message& message);
 
 /// \brief Incremental frame reassembly over an arbitrary chunking of the

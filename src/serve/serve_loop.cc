@@ -46,6 +46,11 @@ void HandlePayload(const std::vector<std::uint8_t>& payload,
   const Message& message = *decoded;
   switch (message.op) {
     case OpCode::kRead: {
+      const Status id_ok = CheckWireId(message.id, "query id");
+      if (!id_ok.ok()) {
+        EncodeStatusResponse(id_ok, response);
+        return;
+      }
       // Read-your-writes: fold everything this client already submitted
       // before consulting the registry.
       CKNN_IGNORE_STATUS(

@@ -1,7 +1,6 @@
 #ifndef CKNN_UTIL_THREAD_POOL_H_
 #define CKNN_UTIL_THREAD_POOL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -14,31 +13,23 @@
 
 namespace cknn {
 
-/// \brief Small fixed pool of worker threads for fork/join parallelism,
-/// with an optional second, overlappable stage.
+/// \brief Small fixed pool of worker threads that runs one detached batch
+/// of tasks at a time.
 ///
-/// Two submission modes share the same claim machinery:
-///
-///  * `RunAll(tasks)` — classic fork/join: the workers *and* the calling
-///    thread claim tasks through a shared index, and the call blocks until
-///    every task finished.
-///  * `Begin(tasks)` / `Wait()` — a detached batch: `Begin` hands the tasks
-///    to the workers and returns immediately; the caller is free to do
-///    other work (including issuing `RunAll` calls on this same pool, which
-///    overlap the detached batch) and later calls `Wait`, where it helps
-///    drain whatever is still unclaimed and blocks until the batch
-///    finished. At most one detached batch may be in flight, and `Begin`/
-///    `Wait` must be called from one owning thread.
+/// `Begin(tasks)` hands the tasks to the workers and returns immediately;
+/// the caller is free to do other work and later calls `Wait`, where it
+/// helps drain whatever is still unclaimed and blocks until the batch
+/// finished. At most one batch may be in flight, and `Begin`/`Wait` must
+/// be called from one owning thread.
 ///
 /// Tasks must not throw and must handle their own synchronization for any
 /// state shared between them; the pool guarantees that all writes made by a
-/// batch's tasks are visible to the thread that completed its
-/// `RunAll`/`Wait`. Task vectors must stay alive until that completion.
+/// batch's tasks are visible to the thread that completed its `Wait`. The
+/// task vector must stay alive until that `Wait`.
 ///
 /// The workers are started once and parked between batches, so per-batch
 /// dispatch cost is a mutex hand-off, not thread creation. A pool of 0
-/// workers is allowed: `RunAll` runs everything on the calling thread, and
-/// a `Begin` batch runs entirely inside `Wait`.
+/// workers is allowed: its batches run entirely inside `Wait`.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_workers) {
@@ -69,33 +60,37 @@ class ThreadPool {
 
   std::size_t num_workers() const { return workers_.size(); }
 
-  /// Runs every task in `tasks` to completion, the calling thread
-  /// participating. Safe to call repeatedly and concurrently with an
-  /// in-flight `Begin` batch (the two overlap on the same workers).
-  void RunAll(const std::vector<std::function<void()>>& tasks)
-      CKNN_EXCLUDES(mu_) {
-    std::shared_ptr<Batch> batch = Enqueue(tasks);
-    if (batch != nullptr) Finish(std::move(batch));
-  }
-
-  /// Starts a detached batch: the workers begin claiming immediately, the
-  /// caller returns. `tasks` must outlive the matching `Wait()`.
+  /// Starts a batch: the workers begin claiming immediately, the caller
+  /// returns. `tasks` must outlive the matching `Wait()`.
   void Begin(const std::vector<std::function<void()>>& tasks)
       CKNN_EXCLUDES(mu_) {
-    owner_role_.Assert();
-    CKNN_CHECK(detached_ == nullptr);
-    detached_ = Enqueue(tasks);
+    if (tasks.empty()) return;
+    auto batch = std::make_shared<Batch>();
+    batch->tasks = &tasks;
+    batch->size = tasks.size();
+    batch->pending = tasks.size();
+    {
+      MutexLock lock(mu_);
+      CKNN_CHECK(current_ == nullptr);
+      current_ = std::move(batch);
+    }
+    wake_.NotifyAll();
   }
 
-  /// Blocks until the detached batch finished, helping drain unclaimed
-  /// tasks. A `Wait` without a preceding `Begin` (or after a `Begin` of an
-  /// empty task vector) is a no-op.
+  /// Blocks until the batch finished, helping drain unclaimed tasks. A
+  /// `Wait` without a preceding `Begin` (or after a `Begin` of an empty
+  /// task vector) is a no-op.
   void Wait() CKNN_EXCLUDES(mu_) {
-    owner_role_.Assert();
-    if (detached_ == nullptr) return;
-    std::shared_ptr<Batch> batch = std::move(detached_);
-    detached_ = nullptr;
-    Finish(std::move(batch));
+    std::shared_ptr<Batch> batch;
+    {
+      MutexLock lock(mu_);
+      batch = current_;
+    }
+    if (batch == nullptr) return;
+    DrainTasks(*batch);
+    MutexLock lock(mu_);
+    while (batch->pending != 0) done_.Wait(mu_);
+    current_ = nullptr;
   }
 
  private:
@@ -105,69 +100,32 @@ class ThreadPool {
     /// Claim index. May grow past `size`; claims with i >= size are no-ops,
     /// so a straggler that wakes up holding an exhausted batch can never
     /// touch a task vector that has been destroyed (claims with i < size
-    /// happen only while the batch's completer is still blocked in
-    /// `Finish`, when the vector is alive).
+    /// happen only while `Wait` is still blocked, when the vector is
+    /// alive). Shared ownership keeps the straggler's claim off the next
+    /// batch's index.
     std::atomic<std::size_t> next{0};
     /// Unfinished tasks; guarded by the owning pool's mu_ (a nested struct
     /// cannot name the outer capability in CKNN_GUARDED_BY, so every
-    /// access lives in a CKNN_REQUIRES(mu_) region of the pool instead).
+    /// access holds the pool's mu_ instead).
     std::size_t pending = 0;
   };
 
-  std::shared_ptr<Batch> Enqueue(
-      const std::vector<std::function<void()>>& tasks) CKNN_EXCLUDES(mu_) {
-    if (tasks.empty()) return nullptr;
-    auto batch = std::make_shared<Batch>();
-    batch->tasks = &tasks;
-    batch->size = tasks.size();
-    batch->pending = tasks.size();
-    {
-      MutexLock lock(mu_);
-      active_.push_back(batch);
-    }
-    wake_.NotifyAll();
-    return batch;
-  }
-
-  /// Drains `batch` on the calling thread, waits for stragglers, and
-  /// retires it from the active list.
-  void Finish(std::shared_ptr<Batch> batch) CKNN_EXCLUDES(mu_) {
-    DrainTasks(*batch);
-    MutexLock lock(mu_);
-    while (!BatchDoneLocked(*batch)) done_.Wait(mu_);
-    active_.erase(std::find(active_.begin(), active_.end(), batch));
-  }
-
-  /// Whether every task of `batch` finished. mu_ held.
-  bool BatchDoneLocked(const Batch& batch) const CKNN_REQUIRES(mu_) {
-    return batch.pending == 0;
-  }
-
-  /// Retires one completed task of `batch`, waking its completer on the
-  /// last one. mu_ held.
-  void FinishTaskLocked(Batch& batch) CKNN_REQUIRES(mu_) {
-    if (--batch.pending == 0) done_.NotifyAll();
-  }
-
-  /// Claims and runs tasks from `batch` until its index is exhausted.
+  /// Claims and runs tasks from `batch` until its index is exhausted,
+  /// waking `Wait` on the last completion.
   void DrainTasks(Batch& batch) CKNN_EXCLUDES(mu_) {
     while (true) {
       const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch.size) return;
       (*batch.tasks)[i]();
       MutexLock lock(mu_);
-      FinishTaskLocked(batch);
+      if (--batch.pending == 0) done_.NotifyAll();
     }
   }
 
-  /// First active batch with unclaimed tasks, nullptr if none. mu_ held.
-  std::shared_ptr<Batch> ClaimableLocked() CKNN_REQUIRES(mu_) {
-    for (const std::shared_ptr<Batch>& batch : active_) {
-      if (batch->next.load(std::memory_order_relaxed) < batch->size) {
-        return batch;
-      }
-    }
-    return nullptr;
+  /// Whether the current batch has unclaimed tasks. mu_ held.
+  bool ClaimableLocked() const CKNN_REQUIRES(mu_) {
+    return current_ != nullptr &&
+           current_->next.load(std::memory_order_relaxed) < current_->size;
   }
 
   void WorkerLoop() CKNN_EXCLUDES(mu_) {
@@ -175,10 +133,9 @@ class ThreadPool {
       std::shared_ptr<Batch> batch;
       {
         MutexLock lock(mu_);
-        while (!shutdown_ && (batch = ClaimableLocked()) == nullptr) {
-          wake_.Wait(mu_);
-        }
-        if (batch == nullptr) return;  // Shutdown.
+        while (!shutdown_ && !ClaimableLocked()) wake_.Wait(mu_);
+        if (shutdown_) return;
+        batch = current_;
       }
       DrainTasks(*batch);
     }
@@ -188,12 +145,8 @@ class ThreadPool {
   CondVar wake_;
   CondVar done_;
   std::vector<std::thread> workers_;
-  /// Batches with tasks that may still be unclaimed or running.
-  std::vector<std::shared_ptr<Batch>> active_ CKNN_GUARDED_BY(mu_);
-  /// The single thread that issues Begin/Wait pairs (see ThreadRole).
-  ThreadRole owner_role_;
-  /// The in-flight Begin batch (touched only by the owning thread).
-  std::shared_ptr<Batch> detached_ CKNN_GUARDED_BY(owner_role_);
+  /// The in-flight batch, nullptr between `Wait` and the next `Begin`.
+  std::shared_ptr<Batch> current_ CKNN_GUARDED_BY(mu_);
   bool shutdown_ CKNN_GUARDED_BY(mu_) = false;
 };
 

@@ -109,7 +109,6 @@ TEST(KnnSearchTest, FrontierMemoryBytesAccountsPriorityStructure) {
   // Regression: Frontier::MemoryBytes used to count only the pending-label
   // map and ignored the heap entirely, so IMA's reported footprint missed
   // its entire priority structure.
-  SetDefaultFrontierQueueKind(FrontierQueueKind::kBinaryHeap);
   RoadNetwork net = testing::MakeGrid(6);
   ObjectTable objects(net.NumEdges());
   ASSERT_TRUE(objects.Insert(0, NetworkPoint{30, 0.5}).ok());

@@ -1,16 +1,18 @@
-// Pipelined-ingest semantics of the monitoring server (docs/pipeline.md):
-// SubmitBatch/Drain at pipeline depth 2 must produce byte-identical state
-// to serial Tick at depth 1 — across algorithms and shard counts, with
-// and without intermediate drains — and a rejected submit must leave the
-// server exactly as if the call had not been made, including while a
-// previous tick is still in flight. Runs under the `threads` label so the
-// CI sanitize lane chews on the overlap with ThreadSanitizer.
+// Ingest semantics of the monitoring server (docs/pipeline.md): streamed
+// SubmitBatch/Drain must produce byte-identical state to serial Tick —
+// across algorithms, pipeline depths and shard counts, with and without
+// intermediate drains — depth-1 SubmitBatch must return drained, and a
+// rejected submit must leave the server exactly as if the call had not
+// been made, including while a previous tick is still in flight. Runs
+// under the `threads` label so the CI sanitize lane chews on the overlap
+// with ThreadSanitizer.
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -24,17 +26,17 @@ namespace cknn {
 namespace {
 
 /// Streams `batches` through a serial reference server (Tick) and a
-/// pipelined server (SubmitBatch only, one Drain at the end), then
+/// server at `depth` (SubmitBatch only, one Drain at the end), then
 /// byte-compares every registered query's result.
 void ExpectPipelineEqualsSerial(const RoadNetwork& network,
-                                Algorithm algorithm, int shards,
+                                Algorithm algorithm, int shards, int depth,
                                 const std::vector<UpdateBatch>& batches,
                                 const std::vector<QueryId>& live) {
   MonitoringServer serial(CloneNetwork(network), algorithm, shards,
                           /*pipeline_depth=*/1);
   MonitoringServer pipelined(CloneNetwork(network), algorithm, shards,
-                             /*pipeline_depth=*/2);
-  EXPECT_EQ(pipelined.pipeline_depth(), 2);
+                             depth);
+  EXPECT_EQ(pipelined.pipeline_depth(), depth);
   for (const UpdateBatch& batch : batches) {
     ASSERT_TRUE(serial.Tick(batch).ok());
     ASSERT_TRUE(pipelined.SubmitBatch(batch).ok());
@@ -56,7 +58,15 @@ void ExpectPipelineEqualsSerial(const RoadNetwork& network,
   }
 }
 
-class ServerPipelineTest : public ::testing::TestWithParam<Algorithm> {};
+/// (algorithm, pipeline depth, shard count).
+using PipelineParam = std::tuple<Algorithm, int, int>;
+
+class ServerPipelineTest : public ::testing::TestWithParam<PipelineParam> {
+ protected:
+  Algorithm algorithm() const { return std::get<0>(GetParam()); }
+  int depth() const { return std::get<1>(GetParam()); }
+  int shards() const { return std::get<2>(GetParam()); }
+};
 
 TEST_P(ServerPipelineTest, StreamedSubmitMatchesSerialTicks) {
   const std::uint64_t seed = testing::FuzzSeed(9100);
@@ -80,18 +90,15 @@ TEST_P(ServerPipelineTest, StreamedSubmitMatchesSerialTicks) {
   for (QueryId q = 0; q < static_cast<QueryId>(wl.num_queries); ++q) {
     live.push_back(q);  // The Table-2 generator never terminates queries.
   }
-  for (const int shards : {1, 2}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ExpectPipelineEqualsSerial(scaffold.network(), GetParam(), shards,
-                               batches, live);
-  }
+  ExpectPipelineEqualsSerial(scaffold.network(), algorithm(), shards(),
+                             depth(), batches, live);
 }
 
 TEST_P(ServerPipelineTest, TickOnAPipelinedServerDrainsEveryStep) {
   // Tick == SubmitBatch + Drain at every depth; mixing the two styles on
-  // one server must be safe.
-  MonitoringServer server(testing::MakeGrid(4), GetParam(), /*num_shards=*/2,
-                          /*pipeline_depth=*/2);
+  // one server must be safe, and depth-1 SubmitBatch returns drained.
+  MonitoringServer server(testing::MakeGrid(4), algorithm(), shards(),
+                          depth());
   ASSERT_TRUE(server.AddObject(1, NetworkPoint{0, 0.5}).ok());
   EXPECT_FALSE(server.InFlight());
   ASSERT_TRUE(server.InstallQuery(0, NetworkPoint{0, 0.1}, 1).ok());
@@ -99,10 +106,16 @@ TEST_P(ServerPipelineTest, TickOnAPipelinedServerDrainsEveryStep) {
   move.objects.push_back(
       ObjectUpdate{1, NetworkPoint{0, 0.5}, NetworkPoint{5, 0.25}});
   ASSERT_TRUE(server.SubmitBatch(move).ok());
+  if (depth() == 1) {
+    EXPECT_FALSE(server.InFlight());
+  }
   // A second submit barriers on the first; results only need a drain.
   UpdateBatch weight;
   weight.edges.push_back(EdgeUpdate{0, 2.0});
   ASSERT_TRUE(server.SubmitBatch(weight).ok());
+  if (depth() == 1) {
+    EXPECT_FALSE(server.InFlight());
+  }
   ASSERT_TRUE(server.Drain().ok());
   const auto* result = server.ResultOf(0);
   ASSERT_NE(result, nullptr);
@@ -115,8 +128,8 @@ TEST_P(ServerPipelineTest, RejectedSubmitLeavesThePipelineIntact) {
   // An invalid batch must be reported synchronously and change nothing —
   // even when a previous (valid) tick is still in flight — and the
   // pipeline must keep accepting work afterwards.
-  MonitoringServer server(testing::MakeGrid(4), GetParam(), /*num_shards=*/2,
-                          /*pipeline_depth=*/2);
+  MonitoringServer server(testing::MakeGrid(4), algorithm(), shards(),
+                          depth());
   ASSERT_TRUE(server.AddObject(1, NetworkPoint{0, 0.5}).ok());
   ASSERT_TRUE(server.InstallQuery(0, NetworkPoint{0, 0.1}, 2).ok());
   UpdateBatch valid;
@@ -124,17 +137,28 @@ TEST_P(ServerPipelineTest, RejectedSubmitLeavesThePipelineIntact) {
       ObjectUpdate{2, std::nullopt, NetworkPoint{3, 0.75}});
   ASSERT_TRUE(server.SubmitBatch(valid).ok());
   const std::uint64_t at_submit = server.timestamp();
+  const bool in_flight = server.InFlight();
+  EXPECT_EQ(in_flight, depth() == 2);
+  // The rejected submits below may not touch the table, the clock, or the
+  // in-flight tick.
+  auto expect_untouched = [&] {
+    EXPECT_EQ(server.timestamp(), at_submit);
+    EXPECT_EQ(server.InFlight(), in_flight);
+    EXPECT_EQ(server.objects().size(), 2u);
+    EXPECT_EQ(server.objects().Position(2).value(), (NetworkPoint{3, 0.75}));
+  };
   UpdateBatch invalid;
   invalid.queries.push_back(  // Query 9 was never installed.
       QueryUpdate{9, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
   EXPECT_TRUE(server.SubmitBatch(invalid).IsNotFound());
-  EXPECT_EQ(server.timestamp(), at_submit);
+  expect_untouched();
   // NaN offsets and weights are rejected in-pipeline too (stage 2 runs on
   // the submitting thread).
   UpdateBatch nan_weight;
   nan_weight.edges.push_back(
       EdgeUpdate{0, std::numeric_limits<double>::quiet_NaN()});
   EXPECT_TRUE(server.SubmitBatch(nan_weight).IsInvalidArgument());
+  expect_untouched();
   UpdateBatch follow_up;
   follow_up.objects.push_back(
       ObjectUpdate{2, NetworkPoint{3, 0.75}, NetworkPoint{8, 0.5}});
@@ -143,15 +167,21 @@ TEST_P(ServerPipelineTest, RejectedSubmitLeavesThePipelineIntact) {
   EXPECT_TRUE(server.objects().Contains(1));
   EXPECT_TRUE(server.objects().Contains(2));
   EXPECT_EQ(server.objects().Position(2).value(), (NetworkPoint{8, 0.5}));
+  EXPECT_EQ(server.timestamp(), at_submit + 1);
+  EXPECT_EQ(server.NumQueries(), 1u);
   ASSERT_NE(server.ResultOf(0), nullptr);
 }
 
-INSTANTIATE_TEST_SUITE_P(Algorithms, ServerPipelineTest,
-                         ::testing::Values(Algorithm::kIma, Algorithm::kGma,
-                                           Algorithm::kOvh),
-                         [](const ::testing::TestParamInfo<Algorithm>& info) {
-                           return std::string(AlgorithmName(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AlgorithmsDepthsShards, ServerPipelineTest,
+    ::testing::Combine(::testing::Values(Algorithm::kIma, Algorithm::kGma,
+                                         Algorithm::kOvh),
+                       ::testing::Values(1, 2), ::testing::Values(1, 2, 4)),
+    [](const ::testing::TestParamInfo<PipelineParam>& info) {
+      return std::string(AlgorithmName(std::get<0>(info.param))) + "_depth" +
+             std::to_string(std::get<1>(info.param)) + "_shards" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 }  // namespace
 }  // namespace cknn

@@ -2,10 +2,13 @@
 // streams must reassemble identically under any chunking; random
 // truncations, byte flips, and pure garbage must produce clean
 // InvalidArgument errors (or a clean decode, for lucky flips) — never a
-// crash, hang, or partial batch. Seeded via tests/fuzz_util.h
-// (CKNN_FUZZ_SEED / CKNN_FUZZ_SCALE widen the exploration).
+// crash, hang, or partial batch — and every decoded update whose fields
+// do not fit the engine's id types must fail conversion. Seeded via
+// tests/fuzz_util.h (CKNN_FUZZ_SEED / CKNN_FUZZ_SCALE widen the
+// exploration).
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,15 +21,73 @@
 namespace cknn::serve {
 namespace {
 
+constexpr std::uint64_t kMaxWireId = std::numeric_limits<std::uint32_t>::max();
+
+/// A u64 wire field: small, at the 32-bit boundary, or anywhere.
+std::uint64_t RandomWireId(Rng* rng) {
+  switch (rng->NextIndex(3)) {
+    case 0:
+      return rng->NextIndex(1000);
+    case 1:
+      return kMaxWireId - 1 + rng->NextIndex(3);  // 2^32 - 2 .. 2^32.
+    default:
+      return rng->NextU64();
+  }
+}
+
 Message RandomMessage(Rng* rng) {
   Message m;
   m.op = static_cast<OpCode>(rng->UniformInt(1, 11));
-  m.id = rng->NextU64();
-  m.edge = rng->NextU64();
+  m.id = RandomWireId(rng);
+  m.edge = RandomWireId(rng);
   m.t = rng->NextDouble();
-  m.k = static_cast<std::uint32_t>(rng->UniformInt(1, 64));
+  m.k = rng->NextIndex(2) == 0
+            ? static_cast<std::uint32_t>(rng->UniformInt(1, 64))
+            : static_cast<std::uint32_t>(rng->NextU64());
   m.weight = rng->Uniform(-10.0, 10.0);
   return m;
+}
+
+/// Every decoded update converts exactly when the fields its opcode
+/// carries fit the engine's types (32-bit ids and edges, int k); an
+/// out-of-range field must fail with InvalidArgument, never be truncated
+/// into another entity's id.
+void ExpectConversionRespectsRanges(const Message& m) {
+  const bool id_fits = m.id <= kMaxWireId;
+  const bool edge_fits = m.edge <= kMaxWireId;
+  bool update = true;
+  bool fits = true;
+  switch (m.op) {
+    case OpCode::kInstallQuery:
+      fits = id_fits && edge_fits &&
+             m.k <= static_cast<std::uint32_t>(
+                        std::numeric_limits<int>::max());
+      break;
+    case OpCode::kMoveQuery:
+    case OpCode::kAddObject:
+    case OpCode::kMoveObject:
+      fits = id_fits && edge_fits;
+      break;
+    case OpCode::kTerminateQuery:
+    case OpCode::kRemoveObject:
+      fits = id_fits;
+      break;
+    case OpCode::kUpdateWeight:
+      fits = edge_fits;
+      break;
+    default:
+      update = false;
+      break;
+  }
+  Result<ServeRequest> request = ToServeRequest(m);
+  if (!update || !fits) {
+    EXPECT_TRUE(request.status().IsInvalidArgument())
+        << "op " << static_cast<int>(m.op) << " id " << m.id << " edge "
+        << m.edge << " k " << m.k;
+    return;
+  }
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(request->id, m.op == OpCode::kUpdateWeight ? m.edge : m.id);
 }
 
 /// Drains every completed frame; returns false on a framing error.
@@ -70,6 +131,7 @@ TEST(ProtocolFuzzTest, RandomChunkingReassemblesIdentically) {
           DecodeMessage(payloads[i].data(), payloads[i].size());
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_EQ(decoded->op, sent[i].op);
+      ExpectConversionRespectsRanges(*decoded);
     }
   }
 }
@@ -92,7 +154,9 @@ TEST(ProtocolFuzzTest, TruncationsNeverDecodePartially) {
     // Whatever came out is a whole frame that decodes; the cut frame
     // stayed buffered and Finish names the truncation.
     for (const std::vector<std::uint8_t>& payload : payloads) {
-      EXPECT_TRUE(DecodeMessage(payload.data(), payload.size()).ok());
+      Result<Message> decoded = DecodeMessage(payload.data(), payload.size());
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ExpectConversionRespectsRanges(*decoded);
     }
     if (decoder.BufferedBytes() > 0) {
       EXPECT_TRUE(decoder.Finish().IsInvalidArgument());
@@ -130,7 +194,9 @@ TEST(ProtocolFuzzTest, ByteFlipsNeverCrashTheDecoder) {
     }
     // A payload flip: decodes to either a clean error or a (possibly
     // different) valid message — never a crash.
-    (void)DecodeMessage(next->value().data(), next->value().size());
+    Result<Message> decoded =
+        DecodeMessage(next->value().data(), next->value().size());
+    if (decoded.ok()) ExpectConversionRespectsRanges(*decoded);
   }
 }
 
@@ -152,7 +218,9 @@ TEST(ProtocolFuzzTest, GarbageStreamsFailCleanly) {
     while (true) {
       Result<std::optional<std::vector<std::uint8_t>>> next = decoder.Next();
       if (!next.ok() || !next->has_value()) break;
-      (void)DecodeMessage(next->value().data(), next->value().size());
+      Result<Message> decoded =
+          DecodeMessage(next->value().data(), next->value().size());
+      if (decoded.ok()) ExpectConversionRespectsRanges(*decoded);
       (void)DecodeResponse(next->value().data(), next->value().size());
     }
   }

@@ -5,6 +5,7 @@
 // payloads) without any partial decode escaping.
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -94,10 +95,15 @@ TEST(ProtocolTest, EveryOpcodeRoundTrips) {
 }
 
 TEST(ProtocolTest, ToServeRequestMapsUpdateOpsOnly) {
-  Result<ServeRequest> install =
-      ToServeRequest(SampleMessage(OpCode::kInstallQuery));
-  ASSERT_TRUE(install.ok());
+  // SampleMessage's id is wider than 32 bits (it exercises the u64 wire
+  // field); ToServeRequest needs one that names an engine entity.
+  Message install_message = SampleMessage(OpCode::kInstallQuery);
+  install_message.id = 17;
+  Result<ServeRequest> install = ToServeRequest(install_message);
+  ASSERT_TRUE(install.ok()) << install.status().ToString();
   EXPECT_EQ(install->op, ServeRequest::Op::kInstallQuery);
+  EXPECT_EQ(install->id, 17u);
+  EXPECT_EQ(install->pos, (NetworkPoint{42, 0.625}));
   EXPECT_EQ(install->k, 7);
 
   // kUpdateWeight addresses an edge: the edge field is the request id.
@@ -108,10 +114,68 @@ TEST(ProtocolTest, ToServeRequestMapsUpdateOpsOnly) {
   EXPECT_EQ(weight->id, 42u);
   EXPECT_EQ(weight->weight, -3.5);
 
+  // Non-update opcodes, and values outside the enum (a Message built in
+  // process rather than decoded), have no request form.
   for (OpCode op :
-       {OpCode::kRead, OpCode::kFlush, OpCode::kStats, OpCode::kShutdown}) {
+       {OpCode::kRead, OpCode::kFlush, OpCode::kStats, OpCode::kShutdown,
+        static_cast<OpCode>(0), static_cast<OpCode>(200)}) {
     EXPECT_TRUE(
         ToServeRequest(SampleMessage(op)).status().IsInvalidArgument());
+  }
+}
+
+TEST(ProtocolTest, ToServeRequestRejectsIdsThatWouldAlias) {
+  // Truncated to 32 bits, each of these would address another entity:
+  // edge 2^32 + 3 is edge 3, object 2^32 + 9 is object 9.
+  constexpr std::uint64_t kWide = std::uint64_t{1} << 32;
+  Message weight;
+  weight.op = OpCode::kUpdateWeight;
+  weight.edge = kWide + 3;
+  weight.weight = 2.0;
+  EXPECT_TRUE(ToServeRequest(weight).status().IsInvalidArgument());
+
+  Message add;
+  add.op = OpCode::kAddObject;
+  add.id = kWide + 9;
+  add.edge = 1;
+  EXPECT_TRUE(ToServeRequest(add).status().IsInvalidArgument());
+
+  // A wide edge on a positioned op, and a wide id on every id-carrying op.
+  Message move = add;
+  move.op = OpCode::kMoveObject;
+  move.id = 9;
+  move.edge = kWide + 1;
+  EXPECT_TRUE(ToServeRequest(move).status().IsInvalidArgument());
+  for (OpCode op : {OpCode::kInstallQuery, OpCode::kMoveQuery,
+                    OpCode::kTerminateQuery, OpCode::kMoveObject,
+                    OpCode::kRemoveObject}) {
+    Message m;
+    m.op = op;
+    m.id = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_TRUE(ToServeRequest(m).status().IsInvalidArgument());
+  }
+
+  // The top of the 32-bit range is still a valid id.
+  add.id = std::numeric_limits<std::uint32_t>::max();
+  Result<ServeRequest> top = ToServeRequest(add);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->id, std::numeric_limits<std::uint32_t>::max());
+  weight.edge = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_TRUE(ToServeRequest(weight).ok());
+}
+
+TEST(ProtocolTest, ToServeRequestRejectsKAboveIntMax) {
+  Message install;
+  install.op = OpCode::kInstallQuery;
+  install.id = 1;
+  install.k = static_cast<std::uint32_t>(std::numeric_limits<int>::max());
+  Result<ServeRequest> largest = ToServeRequest(install);
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->k, std::numeric_limits<int>::max());
+  for (std::uint32_t k : {std::uint32_t{1} << 31,
+                          std::numeric_limits<std::uint32_t>::max()}) {
+    install.k = k;
+    EXPECT_TRUE(ToServeRequest(install).status().IsInvalidArgument()) << k;
   }
 }
 

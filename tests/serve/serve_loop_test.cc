@@ -167,6 +167,53 @@ TEST_F(ServeLoopTest, PayloadErrorsKeepTheConnectionAlive) {
   EXPECT_TRUE(result_.shutdown);
 }
 
+TEST_F(ServeLoopTest, WideWireIdsAreRejectedWithoutAliasing) {
+  // Each frame below names an id above 2^32 - 1. Truncated to the
+  // engine's 32-bit ids they would hit edge 3, object 9, and query 3;
+  // instead each is answered InvalidArgument and no entity changes.
+  constexpr std::uint64_t kWide = std::uint64_t{1} << 32;
+  const double weight_before = server_.network().WeightOf(3);
+  const int fd = StartLoop();
+  Message m;
+  m.op = OpCode::kInstallQuery;
+  m.id = 3;
+  m.edge = 0;
+  m.t = 0.5;
+  m.k = 2;
+  EXPECT_EQ(Transact(fd, m).code, StatusCode::kOk);
+
+  m = Message();
+  m.op = OpCode::kUpdateWeight;
+  m.edge = kWide + 3;
+  m.weight = weight_before + 5.0;
+  EXPECT_EQ(Transact(fd, m).code, StatusCode::kInvalidArgument);
+
+  m = Message();
+  m.op = OpCode::kAddObject;
+  m.id = kWide + 9;
+  m.edge = 1;
+  m.t = 0.5;
+  EXPECT_EQ(Transact(fd, m).code, StatusCode::kInvalidArgument);
+
+  m = Message();
+  m.op = OpCode::kRead;
+  m.id = kWide + 3;
+  Response read = Transact(fd, m);
+  EXPECT_EQ(read.kind, ResponseKind::kStatus);
+  EXPECT_EQ(read.code, StatusCode::kInvalidArgument);
+
+  m = Message();
+  m.op = OpCode::kShutdown;
+  EXPECT_EQ(Transact(fd, m).code, StatusCode::kOk);
+  JoinLoop(fd);
+  // Shutdown drained the engine, so its tables can be read here.
+  EXPECT_EQ(front_end_.Stats().applied, 1u);
+  EXPECT_EQ(server_.network().WeightOf(3), weight_before);
+  EXPECT_FALSE(server_.objects().Contains(9));
+  EXPECT_EQ(server_.objects().size(), 0u);
+  EXPECT_EQ(server_.NumQueries(), 1u);
+}
+
 TEST_F(ServeLoopTest, FramingErrorClosesAfterReporting) {
   const int fd = StartLoop();
   const std::vector<std::uint8_t> zeros = {0, 0, 0, 0};  // Empty payload.

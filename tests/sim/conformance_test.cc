@@ -8,14 +8,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/core/knn_search.h"
 #include "src/core/server.h"
 #include "src/gen/network_gen.h"
 #include "src/sim/conformance.h"
@@ -146,79 +143,6 @@ TEST(ConformanceTest, NeedsAtLeastTwoAlgorithms) {
   options.algorithms = {Algorithm::kIma};
   EXPECT_TRUE(
       CheckTraceConformance(trace, options).status().IsInvalidArgument());
-}
-
-// ------------------------------------- frontier-strategy equivalence --
-//
-// The Frontier's priority structure (binary heap vs bucket queue, see
-// src/core/knn_search.h) is an execution detail: replaying one trace under
-// either structure must give the same per-timestamp k-NN sets. The default
-// kind is process-global, so the comparison runs as *sequential* replays —
-// one full pass per kind — rather than mixed-kind lockstep. Equal-key pops
-// may come out in a different order between the structures, so results are
-// compared per rank within the conformance distance tolerance.
-
-/// Replays `trace` on a fresh server under `kind`, recording every live
-/// query's result after every tick. Restores the binary-heap default.
-void ReplayUnderKind(const Trace& trace, Algorithm algorithm,
-                     FrontierQueueKind kind,
-                     std::vector<std::map<QueryId, std::vector<Neighbor>>>*
-                         per_tick_results) {
-  SetDefaultFrontierQueueKind(kind);
-  MonitoringServer server(CloneNetwork(trace.network), algorithm);
-  std::set<QueryId> live;
-  for (const UpdateBatch& batch : trace.batches) {
-    ASSERT_TRUE(server.Tick(batch).ok());
-    const UpdateBatch agg = MonitoringServer::AggregateBatch(batch);
-    for (const QueryUpdate& u : agg.queries) {
-      if (u.kind == QueryUpdate::Kind::kInstall) live.insert(u.id);
-      if (u.kind == QueryUpdate::Kind::kTerminate) live.erase(u.id);
-    }
-    std::map<QueryId, std::vector<Neighbor>> results;
-    for (const QueryId q : live) {
-      const std::vector<Neighbor>* r = server.ResultOf(q);
-      ASSERT_NE(r, nullptr);
-      results[q] = *r;
-    }
-    per_tick_results->push_back(std::move(results));
-  }
-  SetDefaultFrontierQueueKind(FrontierQueueKind::kBinaryHeap);
-}
-
-TEST(ConformanceTest, FrontierQueueStrategiesAgree) {
-  const std::uint64_t seed = testing::FuzzSeed(7777);
-  const Trace trace = RecordScenario(
-      NetworkGenConfig{.target_edges = 220, .seed = seed ^ 0xABCD},
-      ScenarioConfig(seed), 8);
-
-  // Leg 1: the three algorithms still agree with each other when every
-  // frontier in the process uses the bucket queue.
-  SetDefaultFrontierQueueKind(FrontierQueueKind::kBucketQueue);
-  Result<ConformanceReport> report = CheckTraceConformance(trace);
-  SetDefaultFrontierQueueKind(FrontierQueueKind::kBinaryHeap);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok) << report->ToString();
-
-  // Leg 2: per algorithm, a binary-heap replay and a bucket-queue replay
-  // of the same trace produce the same results at every timestamp.
-  for (const Algorithm alg :
-       {Algorithm::kIma, Algorithm::kGma, Algorithm::kOvh}) {
-    SCOPED_TRACE("algorithm " + std::string(AlgorithmName(alg)));
-    std::vector<std::map<QueryId, std::vector<Neighbor>>> binary, bucket;
-    ReplayUnderKind(trace, alg, FrontierQueueKind::kBinaryHeap, &binary);
-    ReplayUnderKind(trace, alg, FrontierQueueKind::kBucketQueue, &bucket);
-    ASSERT_EQ(binary.size(), bucket.size());
-    for (std::size_t tick = 0; tick < binary.size(); ++tick) {
-      SCOPED_TRACE("tick " + std::to_string(tick));
-      ASSERT_EQ(binary[tick].size(), bucket[tick].size());
-      for (const auto& [q, base] : binary[tick]) {
-        const auto it = bucket[tick].find(q);
-        ASSERT_NE(it, bucket[tick].end());
-        testing::ExpectSameNeighbors(/*exact=*/false, base, it->second,
-                                     "query " + std::to_string(q));
-      }
-    }
-  }
 }
 
 // ------------------------------------------------------- golden trace --

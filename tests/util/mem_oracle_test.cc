@@ -20,7 +20,6 @@
 #include "gtest/gtest.h"
 #include "src/core/expansion.h"
 #include "src/core/top_k.h"
-#include "src/util/bucket_queue.h"
 #include "src/util/dense_id_map.h"
 #include "src/util/indexed_min_heap.h"
 #include "src/util/rng.h"
@@ -100,17 +99,6 @@ TEST(MemOracleTest, IndexedMinHeap) {
       heap->Push(id, rng.NextDouble());
     }
     return heap;
-  });
-}
-
-TEST(MemOracleTest, BucketQueue) {
-  ExpectEstimateWithinOracle("BucketQueue", [] {
-    auto q = std::make_unique<BucketQueue>(1.0);
-    Rng rng(11);
-    for (std::uint64_t id = 0; id < 8000; ++id) {
-      q->Push(id, rng.Uniform(0.0, 500.0));
-    }
-    return q;
   });
 }
 

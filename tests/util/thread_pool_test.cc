@@ -1,7 +1,6 @@
-// Stress suite for the two-stage thread pool (src/util/thread_pool.h):
-// repeated RunAll batches with interleaved empty batches, 0-worker pools,
-// destruction while parked, and the pipelined two-stage overlap
-// (Begin/Wait detached batches composed with concurrent RunAll calls).
+// Stress suite for the thread pool (src/util/thread_pool.h): repeated
+// Begin/Wait batches with interleaved empty batches, 0-worker pools,
+// destruction while parked, and randomized batch sizes and worker counts.
 // Runs under the `threads` label, which the CI sanitize lane executes
 // with ThreadSanitizer — the interleaving cases exist primarily so TSan
 // can chew on them.
@@ -11,7 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -33,7 +32,7 @@ std::vector<std::function<void()>> CountingTasks(std::size_t n,
   return tasks;
 }
 
-TEST(ThreadPoolTest, RepeatedRunAllWithInterleavedEmptyBatches) {
+TEST(ThreadPoolTest, RepeatedBatchesWithInterleavedEmptyBatches) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_workers(), 3u);
   std::atomic<int> counter{0};
@@ -41,23 +40,24 @@ TEST(ThreadPoolTest, RepeatedRunAllWithInterleavedEmptyBatches) {
   for (int round = 0; round < 50; ++round) {
     const std::size_t n = static_cast<std::size_t>(round % 7);
     const auto tasks = CountingTasks(n, &counter);
-    pool.RunAll(tasks);  // Every 7th batch is empty.
+    pool.Begin(tasks);  // Every 7th batch is empty.
+    pool.Wait();
     expected += static_cast<int>(n);
     ASSERT_EQ(counter.load(), expected) << "round " << round;
   }
 }
 
-TEST(ThreadPoolTest, ZeroWorkerPoolRunsEverythingOnTheCaller) {
+TEST(ThreadPoolTest, ZeroWorkerPoolRunsEverythingInWait) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_workers(), 0u);
   std::atomic<int> counter{0};
-  pool.RunAll(CountingTasks(5, &counter));
-  EXPECT_EQ(counter.load(), 5);
-  // Begin defers everything to Wait on a 0-worker pool.
-  const auto detached = CountingTasks(4, &counter);
-  pool.Begin(detached);
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 9);
+  for (int round = 1; round <= 3; ++round) {
+    const auto tasks = CountingTasks(4, &counter);
+    pool.Begin(tasks);
+    EXPECT_EQ(counter.load(), 4 * (round - 1));  // Nothing runs before Wait.
+    pool.Wait();
+    EXPECT_EQ(counter.load(), 4 * round);
+  }
 }
 
 TEST(ThreadPoolTest, DestructionWhileParked) {
@@ -67,17 +67,21 @@ TEST(ThreadPoolTest, DestructionWhileParked) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
-    pool.RunAll(CountingTasks(16, &counter));
-  }
-  EXPECT_EQ(counter.load(), 16);
-  // A Begin that was Waited, then parked.
-  {
-    ThreadPool pool(2);
-    const auto tasks = CountingTasks(3, &counter);
+    const auto tasks = CountingTasks(16, &counter);
     pool.Begin(tasks);
     pool.Wait();
   }
-  EXPECT_EQ(counter.load(), 19);
+  EXPECT_EQ(counter.load(), 16);
+  // Several batches, then parked.
+  {
+    ThreadPool pool(2);
+    for (int round = 0; round < 3; ++round) {
+      const auto tasks = CountingTasks(3, &counter);
+      pool.Begin(tasks);
+      pool.Wait();
+    }
+  }
+  EXPECT_EQ(counter.load(), 25);
 }
 
 TEST(ThreadPoolTest, WaitWithoutBeginIsANoOp) {
@@ -85,33 +89,15 @@ TEST(ThreadPoolTest, WaitWithoutBeginIsANoOp) {
   pool.Wait();
   std::atomic<int> counter{0};
   const auto empty = CountingTasks(0, &counter);
-  pool.Begin(empty);  // Empty detached batch: nothing to run.
+  pool.Begin(empty);  // Empty batch: nothing to run.
   pool.Wait();
   pool.Wait();
   EXPECT_EQ(counter.load(), 0);
 }
 
-TEST(ThreadPoolTest, PipelinedTwoStageOverlap) {
-  // Stage A (detached) and stage B (blocking RunAll) share the pool; B is
-  // issued while A is in flight — the server's pipelined tick shape. The
-  // writes of both stages must be visible after their respective joins.
-  ThreadPool pool(2);
-  std::atomic<int> stage_a{0};
-  std::atomic<int> stage_b{0};
-  for (int round = 0; round < 25; ++round) {
-    const auto detached = CountingTasks(4, &stage_a);
-    pool.Begin(detached);
-    // Overlapped blocking stage on the same pool, from the owner thread.
-    pool.RunAll(CountingTasks(3, &stage_b));
-    ASSERT_EQ(stage_b.load(), 3 * (round + 1));
-    pool.Wait();
-    ASSERT_EQ(stage_a.load(), 4 * (round + 1));
-  }
-}
-
 TEST(ThreadPoolTest, DetachedBatchesMakeProgressWithoutWait) {
-  // A detached batch must not require Wait() to start: with workers
-  // present it drains in the background while the owner is busy.
+  // A batch must not require Wait() to start: with workers present it
+  // drains in the background while the owner is busy.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   const auto tasks = CountingTasks(8, &counter);
@@ -122,9 +108,10 @@ TEST(ThreadPoolTest, DetachedBatchesMakeProgressWithoutWait) {
   EXPECT_EQ(counter.load(), 8);
 }
 
-TEST(ThreadPoolTest, RandomizedTwoStageStress) {
-  // Randomized interleaving of Begin/RunAll/Wait with varying batch sizes
-  // and worker counts; the accounting must stay exact. Seeded via
+TEST(ThreadPoolTest, RandomizedBeginWaitStress) {
+  // Randomized batch sizes and worker counts. Each task writes its own
+  // plain (non-atomic) slot — the shard set's per-shard status shape — so
+  // every slot must read back exactly after Wait. Seeded via
   // CKNN_FUZZ_SEED, budget via CKNN_FUZZ_SCALE (tests/fuzz_util.h).
   const int cases = testing::FuzzIterations(4, 16);
   for (int c = 0; c < cases; ++c) {
@@ -133,22 +120,23 @@ TEST(ThreadPoolTest, RandomizedTwoStageStress) {
                  std::to_string(seed));
     Rng rng(seed);
     ThreadPool pool(static_cast<int>(rng.NextIndex(5)));  // 0..4 workers.
-    std::atomic<int> counter{0};
-    int expected = 0;
+    std::vector<int> slots;
     const int rounds = testing::FuzzIterations(20, 200);
     for (int round = 0; round < rounds; ++round) {
-      const std::size_t detached_n = rng.NextIndex(6);
-      const auto detached = CountingTasks(detached_n, &counter);
-      pool.Begin(detached);
-      const int overlapped = static_cast<int>(rng.NextIndex(3));
-      for (int i = 0; i < overlapped; ++i) {
-        const std::size_t n = rng.NextIndex(5);
-        pool.RunAll(CountingTasks(n, &counter));
-        expected += static_cast<int>(n);
+      const std::size_t n = rng.NextIndex(6);
+      slots.assign(n, -1);
+      std::vector<std::function<void()>> tasks;
+      for (std::size_t i = 0; i < n; ++i) {
+        tasks.push_back([&slots, i, round] {
+          slots[i] = round * 8 + static_cast<int>(i);
+        });
       }
+      pool.Begin(tasks);
       pool.Wait();
-      expected += static_cast<int>(detached_n);
-      ASSERT_EQ(counter.load(), expected) << "round " << round;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(slots[i], round * 8 + static_cast<int>(i))
+            << "round " << round << " slot " << i;
+      }
     }
   }
 }
