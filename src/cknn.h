@@ -2,8 +2,7 @@
 #define CKNN_CKNN_H_
 
 /// \file Umbrella header for the cknn library: continuous k-nearest-
-/// neighbor monitoring in road networks (Mouratidis et al., VLDB 2006),
-/// plus the reverse-NN / path-kNN / range extensions.
+/// neighbor monitoring in road networks (Mouratidis et al., VLDB 2006).
 ///
 /// Typical entry point: build a RoadNetwork, hand it to MonitoringServer
 /// with an Algorithm, and feed UpdateBatch ticks. See README.md.
@@ -14,9 +13,6 @@
 #include "src/core/monitor.h"       // IWYU pragma: export
 #include "src/core/object_table.h"  // IWYU pragma: export
 #include "src/core/ovh.h"           // IWYU pragma: export
-#include "src/core/path_knn.h"      // IWYU pragma: export
-#include "src/core/range_search.h"  // IWYU pragma: export
-#include "src/core/rnn.h"           // IWYU pragma: export
 #include "src/core/server.h"        // IWYU pragma: export
 #include "src/core/updates.h"       // IWYU pragma: export
 #include "src/gen/brinkhoff.h"      // IWYU pragma: export

@@ -185,7 +185,9 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
   }
   for (const Touch& t : touched) {
     const double reach = uq->bound - t.enter_dist;
-    if (reach <= 0.0) continue;
+    // At reach == 0 the entry point itself is still in range: an object
+    // there lies at the bound, so it may be the k-th neighbor.
+    if (reach < 0.0) continue;
     const RoadNetwork::Edge& ed = net_->edge(t.edge);
     const double frac =
         ed.weight > 0.0
@@ -216,20 +218,7 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
 }
 
 Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
-  // Terminations first: no maintenance is spent on queries that are gone
-  // (Fig. 12 line 1's Q_del).
   std::unordered_set<QueryId> to_evaluate;
-  // cknn-lint: allow(unordered-iter) batch.queries is a vector (name collision)
-  for (const QueryUpdate& qu : batch.queries) {
-    if (qu.kind != QueryUpdate::Kind::kTerminate) continue;
-    auto it = queries_.find(qu.id);
-    if (it == queries_.end()) {
-      return Status::NotFound("terminate for unknown query");
-    }
-    ClearInfluence(qu.id, &it->second);
-    DetachFromEndpoints(qu.id, &it->second);
-    queries_.erase(it);
-  }
 
   // Fig. 12 line 5: maintain the active-node NN sets with the IMA engine
   // (this also applies the object/edge updates to the shared tables).
@@ -238,12 +227,25 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
 
   // Structural query maintenance (Fig. 12 lines 1-4; a movement is a
   // deletion plus an insertion). Running it after the engine pass means
-  // newly activated nodes compute against up-to-date tables.
+  // newly activated nodes compute against up-to-date tables. Terminations
+  // too: detaching can lower an active node's k, which re-expands the node
+  // against the object table. Before the engine pass, that table may
+  // already hold this timestamp's moves (a server applies them first), so
+  // the node would absorb a change that the engine pass then never
+  // reports to the node's other queries.
   // cknn-lint: allow(unordered-iter) batch.queries is a vector (name collision)
   for (const QueryUpdate& qu : batch.queries) {
     switch (qu.kind) {
-      case QueryUpdate::Kind::kTerminate:
-        break;  // Handled above.
+      case QueryUpdate::Kind::kTerminate: {
+        auto it = queries_.find(qu.id);
+        if (it == queries_.end()) {
+          return Status::NotFound("terminate for unknown query");
+        }
+        ClearInfluence(qu.id, &it->second);
+        DetachFromEndpoints(qu.id, &it->second);
+        queries_.erase(it);
+        break;
+      }
       case QueryUpdate::Kind::kMove: {
         auto it = queries_.find(qu.id);
         if (it == queries_.end()) {

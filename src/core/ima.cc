@@ -193,6 +193,12 @@ void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
       const auto removed =
           entry->state.PruneOthersBeyond(*child, threshold);
       RepairAfterRemoval(id, entry, removed);
+      // The nodes pruned beside the subtree may be nearer than its deep
+      // end. The non-tree rule below bounds a path through an unsettled
+      // endpoint by the settled one, which is sound only when no
+      // unsettled node is nearer than a settled node; so a later decrease
+      // in this timestamp needs that shape back.
+      RestorePrefix(id, entry);
     } else {
       // Covered non-tree edge: a shortcut may improve anything farther than
       // the cheapest way through it.
@@ -216,6 +222,15 @@ void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
   ForEachInfluenced(e, [&](QueryId, Entry* entry) {
     if (!entry->needs_recompute) RepairEdgeKeys(entry, e);
   });
+}
+
+void ImaEngine::RestorePrefix(QueryId id, Entry* entry) {
+  if (entry->frontier.heap.empty()) return;
+  // Every frontier key is a path length through a settled node, and every
+  // path to an unsettled node leaves the settled set through a frontier
+  // node, so the nearest key is the nearest unsettled distance.
+  const double nearest = entry->frontier.heap.Top().key;
+  RepairAfterRemoval(id, entry, entry->state.PruneBeyond(nearest));
 }
 
 void ImaEngine::ApplyEdgeIncrease(const EdgeUpdate& update) {
@@ -470,26 +485,14 @@ bool ImaEngine::RebuildEntry(QueryId id, Entry* entry) {
   ExpandToK(*net_, *objects_, entry->k, &entry->state, &entry->frontier,
             &entry->known, &fresh);
   if (entry->full_refresh) {
+    ShrinkTree(id, entry);
     RebuildCoverage(id, entry);
     entry->full_refresh = false;
     entry->pending_uncover.clear();
     return ExtractResult(entry);
   }
   GrowCoverage(id, entry, fresh);
-  // Lazy shrink (the paper's tree shrinking with hysteresis): once the
-  // tree radius exceeds the bound by more than the slack, prune the excess
-  // so influence lists don't ratchet up under weight wobble.
-  constexpr double kShrinkSlack = 1.3;
-  const double bound = entry->known.KthDist(entry->k);
-  if (bound < kInfDist &&
-      entry->state.max_settled_dist() > kShrinkSlack * bound) {
-    const double keep_radius = kShrinkSlack * bound;
-    const auto removed = entry->state.PruneBeyond(keep_radius);
-    RepairAfterRemoval(id, entry, removed);
-    for (EdgeId e : entry->rescan_edges) RescanEdge(entry, e);
-    entry->rescan_edges.clear();
-    entry->state.set_max_settled_dist(keep_radius);
-  }
+  ShrinkTree(id, entry);
   // Deferred coverage shrinking: edges whose region was pruned and not
   // re-settled by the expansion leave the influence lists now.
   // cknn-lint: allow(unordered-iter) keyed erases, order-free
@@ -500,6 +503,28 @@ bool ImaEngine::RebuildEntry(QueryId id, Entry* entry) {
   }
   entry->pending_uncover.clear();
   return ExtractResult(entry);
+}
+
+void ImaEngine::ShrinkTree(QueryId id, Entry* entry) {
+  // Lazy shrink (the paper's tree shrinking with hysteresis): once the
+  // tree radius exceeds the bound by more than the slack, prune the excess
+  // so influence lists don't ratchet up under weight wobble. The tree also
+  // keeps no node beyond the nearest frontier key (the expansion stopped
+  // there, past the bound). A node kept beyond it, left by a move, a
+  // weight increase or a lowered subtree, is farther than an unsettled
+  // node, and the next timestamp's non-tree decrease rule would miss a
+  // shortcut to it through that unsettled node.
+  constexpr double kShrinkSlack = 1.3;
+  const double bound = entry->known.KthDist(entry->k);
+  double keep_radius = bound < kInfDist ? kShrinkSlack * bound : kInfDist;
+  if (!entry->frontier.heap.empty()) {
+    keep_radius = std::min(keep_radius, entry->frontier.heap.Top().key);
+  }
+  if (entry->state.max_settled_dist() <= keep_radius) return;
+  RepairAfterRemoval(id, entry, entry->state.PruneBeyond(keep_radius));
+  for (EdgeId e : entry->rescan_edges) RescanEdge(entry, e);
+  entry->rescan_edges.clear();
+  entry->state.set_max_settled_dist(keep_radius);
 }
 
 bool ImaEngine::RecomputeEntry(QueryId id, Entry* entry) {

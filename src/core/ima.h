@@ -177,11 +177,18 @@ class ImaEngine {
   void RepairEdgeKeys(Entry* entry, EdgeId edge);
   /// Re-relaxes one unsettled node from all its settled neighbors.
   void RederiveFrontierNode(Entry* entry, NodeId n);
+  /// After a subtree was lowered: prunes every settled node farther than
+  /// the nearest frontier key, so that no unsettled node is nearer than a
+  /// settled one.
+  void RestorePrefix(QueryId id, Entry* entry);
   /// @}
 
   /// Continues the expansion of an affected entry and refreshes its
   /// result. Returns whether the result changed.
   bool RebuildEntry(QueryId id, Entry* entry);
+  /// After an expansion: prunes the tree back to the nearest frontier key
+  /// and, lazily, to a slack over the bound.
+  void ShrinkTree(QueryId id, Entry* entry);
   /// From-scratch recomputation (Fig. 2). Returns whether result changed.
   bool RecomputeEntry(QueryId id, Entry* entry);
 

@@ -53,8 +53,8 @@ Status ValidateIncomingPoint(const NetworkPoint& p, std::size_t num_edges,
   return Status::OK();
 }
 
-/// Replay check of one object update against the object's running
-/// position (nullopt while absent).
+}  // namespace
+
 Status CheckObjectUpdate(const ObjectUpdate& u,
                          const std::optional<NetworkPoint>& current,
                          std::size_t num_edges) {
@@ -75,8 +75,6 @@ Status CheckObjectUpdate(const ObjectUpdate& u,
   return Status::OK();
 }
 
-/// Replay check of one query update against the query's running
-/// registration.
 Status CheckQueryUpdate(const QueryUpdate& u, bool registered,
                         std::size_t num_edges) {
   switch (u.kind) {
@@ -96,9 +94,6 @@ Status CheckQueryUpdate(const QueryUpdate& u, bool registered,
   return Status::OK();
 }
 
-/// Replay check of one edge-weight update: known edge, finite
-/// non-negative weight (NaN fails every `<` comparison, so
-/// `new_weight < 0.0` alone would let it through).
 Status CheckEdgeUpdate(const EdgeUpdate& u, std::size_t num_edges) {
   if (u.edge >= num_edges) {
     return Status::NotFound("weight update for unknown edge");
@@ -109,6 +104,8 @@ Status CheckEdgeUpdate(const EdgeUpdate& u, std::size_t num_edges) {
   }
   return Status::OK();
 }
+
+namespace {
 
 /// One stream's updates grouped by entity id: `(id << 32) | batch index`
 /// keys, sorted, so each entity's chain is adjacent and in batch order.

@@ -1,8 +1,10 @@
 #ifndef CKNN_CORE_SERVER_H_
 #define CKNN_CORE_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/monitor.h"
@@ -12,8 +14,31 @@
 #include "src/graph/road_network.h"
 #include "src/spatial/pmr_quadtree.h"
 #include "src/util/result.h"
+#include "src/util/status.h"
 
 namespace cknn {
+
+/// \name Admission rules of one raw update, each against the entity's
+/// running state (the pre-batch tables plus its earlier updates in the
+/// batch). `MonitoringServer` validates every raw batch with them, and the
+/// serving front end (src/serve/front_end.h) checks each request with the
+/// same functions, so a request it admits is one the server admits.
+/// @{
+
+/// Against the object's running position (nullopt while absent).
+Status CheckObjectUpdate(const ObjectUpdate& u,
+                         const std::optional<NetworkPoint>& current,
+                         std::size_t num_edges);
+
+/// Against the query's running registration.
+Status CheckQueryUpdate(const QueryUpdate& u, bool registered,
+                        std::size_t num_edges);
+
+/// Known edge, finite non-negative weight (NaN fails every `<`
+/// comparison, so `new_weight < 0.0` alone would let it through).
+Status CheckEdgeUpdate(const EdgeUpdate& u, std::size_t num_edges);
+
+/// @}
 
 /// \brief The central monitoring server of Section 3: owns the road
 /// network, the spatial index *SI* (PMR quadtree over the edges), the

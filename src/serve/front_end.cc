@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/object_table.h"
+#include "src/serve/protocol.h"
+#include "src/util/macros.h"
 
 namespace cknn {
 
@@ -215,18 +216,21 @@ void ServingFrontEnd::ProcessSlice(std::vector<Entry> slice) {
   requests.reserve(slice.size());
   for (const Entry& entry : slice) requests.push_back(entry.request);
   BatchBuild built = BuildBatch(requests, *server_);
-  rejected_invalid_ += built.rejected;
+  rejected_invalid_ += built.rejected.size();
+  if (!built.rejected.empty()) last_error_ = built.rejected.back().status;
   const std::size_t updates = built.batch.objects.size() +
                               built.batch.queries.size() +
                               built.batch.edges.size();
   if (updates > 0) {
+    // The build admitted each update under the server's own rules, so
+    // only a batch-level limit (stream length) can still refuse it.
     Status submitted = server_->SubmitBatch(built.batch);
     ++ticks_;
     if (submitted.ok()) {
       applied_ += updates;
     } else {
       last_error_ = submitted;
-      BisectRejectedLocked(built.batch);
+      rejected_invalid_ += updates;
     }
   }
   // Latency retirement under the depth-2 pipeline: whatever was pending
@@ -243,39 +247,6 @@ void ServingFrontEnd::ProcessSlice(std::vector<Entry> slice) {
     for (const Entry& entry : slice) {
       latency_.Add(Seconds(now - entry.enqueued));
     }
-  }
-}
-
-void ServingFrontEnd::BisectRejectedLocked(const UpdateBatch& batch) {
-  // The engine rejected the coalesced batch as a whole (validation leaves
-  // it untouched). Re-apply one update per tick, in canonical stream
-  // order, so the bad update is isolated and counted instead of vetoing
-  // its neighbors.
-  UpdateBatch single;
-  auto apply = [&] {
-    Status status = server_->Tick(single);
-    ++ticks_;
-    if (status.ok()) {
-      ++applied_;
-    } else {
-      ++rejected_invalid_;
-      last_error_ = status;
-    }
-  };
-  for (const ObjectUpdate& u : batch.objects) {
-    single.objects.assign(1, u);
-    apply();
-    single.objects.clear();
-  }
-  for (const QueryUpdate& u : batch.queries) {
-    single.queries.assign(1, u);
-    apply();
-    single.queries.clear();
-  }
-  for (const EdgeUpdate& u : batch.edges) {
-    single.edges.assign(1, u);
-    apply();
-    single.edges.clear();
   }
 }
 
@@ -296,133 +267,116 @@ void ServingFrontEnd::RetirePendingLocked(Clock::time_point now) {
 ServingFrontEnd::BatchBuild ServingFrontEnd::BuildBatch(
     const std::vector<ServeRequest>& requests,
     const MonitoringServer& server) {
-  BatchBuild out;
   using Op = ServeRequest::Op;
-  // Split per stream in arrival order, then stable-sort by entity id:
-  // per-entity order (one producer's FIFO) is preserved, producer
-  // interleaving is canonicalized away.
-  std::vector<ServeRequest> objects, queries, edges;
-  for (const ServeRequest& r : requests) {
-    switch (r.op) {
+  // Split per stream (request indices, arrival order), then stable-sort
+  // by entity id: per-entity order (one producer's FIFO) is preserved,
+  // producer interleaving is canonicalized away.
+  std::vector<std::size_t> objects, queries, edges;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    switch (requests[i].op) {
       case Op::kAddObject:
       case Op::kMoveObject:
       case Op::kRemoveObject:
-        objects.push_back(r);
+        objects.push_back(i);
         break;
       case Op::kInstallQuery:
       case Op::kMoveQuery:
       case Op::kTerminateQuery:
-        queries.push_back(r);
+        queries.push_back(i);
         break;
       case Op::kUpdateWeight:
-        edges.push_back(r);
+        edges.push_back(i);
         break;
     }
   }
-  auto by_id = [](const ServeRequest& a, const ServeRequest& b) {
-    return a.id < b.id;
+  auto by_id = [&](std::size_t a, std::size_t b) {
+    return requests[a].id < requests[b].id;
   };
   std::stable_sort(objects.begin(), objects.end(), by_id);
   std::stable_sort(queries.begin(), queries.end(), by_id);
   std::stable_sort(edges.begin(), edges.end(), by_id);
 
-  // Objects: the wire carries no old position, so resolve it against the
-  // shared table (current as of every submitted tick — the pipeline
-  // applies object updates at the submit barrier) plus a within-batch
-  // overlay for chains. Requests that cannot validate are dropped here,
-  // exactly as a sequential replay would reject them.
-  std::unordered_map<ObjectId, std::optional<NetworkPoint>> overlay;
-  for (const ServeRequest& r : objects) {
-    const ObjectId id = static_cast<ObjectId>(r.id);
-    std::optional<NetworkPoint> current;
-    auto it = overlay.find(id);
-    if (it != overlay.end()) {
-      current = it->second;
-    } else {
-      Result<NetworkPoint> pos = server.objects().Position(id);
-      if (pos.ok()) current = *pos;
+  BatchBuild out;
+  const std::size_t num_edges = server.network().NumEdges();
+  // Walks one sorted stream: every entity's chain starts from
+  // `seed(id)` and each request goes through `admit`, which emits the
+  // update and advances the state when the server's rule admits it.
+  auto walk = [&](const std::vector<std::size_t>& stream, const char* what,
+                  auto seed, auto admit) {
+    decltype(seed(0)) state{};
+    for (std::size_t n = 0; n < stream.size(); ++n) {
+      const ServeRequest& r = requests[stream[n]];
+      Status status = serve::CheckWireId(r.id, what);
+      if (status.ok()) {
+        const auto id = static_cast<std::uint32_t>(r.id);
+        if (n == 0 || requests[stream[n - 1]].id != r.id) state = seed(id);
+        status = admit(r, id, &state);
+      }
+      if (!status.ok()) {
+        out.rejected.push_back(Rejection{stream[n], std::move(status)});
+      }
     }
-    switch (r.op) {
-      case Op::kAddObject:
-        if (current.has_value()) {
-          ++out.rejected;  // Already present.
-          continue;
-        }
-        out.batch.objects.push_back(ObjectUpdate{id, std::nullopt, r.pos});
-        break;
-      case Op::kMoveObject:
-        if (!current.has_value()) {
-          ++out.rejected;  // Unknown object.
-          continue;
-        }
-        out.batch.objects.push_back(ObjectUpdate{id, current, r.pos});
-        break;
-      case Op::kRemoveObject:
-        if (!current.has_value()) {
-          ++out.rejected;  // Unknown object.
-          continue;
-        }
-        out.batch.objects.push_back(
-            ObjectUpdate{id, current, std::nullopt});
-        overlay[id] = std::nullopt;
-        continue;
-      default:
-        continue;
-    }
-    overlay[id] = r.pos;
-  }
-
-  // Queries: validate against the caller-side registry (safe to consult
-  // mid-flight) plus a within-batch overlay; terminate-then-reinstall
-  // chains are legal and fold downstream.
-  std::unordered_map<QueryId, bool> registered;
-  auto is_registered = [&](QueryId id) {
-    auto it = registered.find(id);
-    if (it != registered.end()) return it->second;
-    return server.shards().IsRegistered(id);
   };
-  for (const ServeRequest& r : queries) {
-    const QueryId id = static_cast<QueryId>(r.id);
-    switch (r.op) {
-      case Op::kInstallQuery:
-        if (is_registered(id)) {
-          ++out.rejected;  // Double install.
-          continue;
-        }
-        out.batch.queries.push_back(
-            QueryUpdate{id, QueryUpdate::Kind::kInstall, r.pos, r.k});
-        registered[id] = true;
-        break;
-      case Op::kMoveQuery:
-        if (!is_registered(id)) {
-          ++out.rejected;  // Unknown query.
-          continue;
-        }
-        out.batch.queries.push_back(
-            QueryUpdate{id, QueryUpdate::Kind::kMove, r.pos, 1});
-        break;
-      case Op::kTerminateQuery:
-        if (!is_registered(id)) {
-          ++out.rejected;  // Unknown query.
-          continue;
-        }
-        out.batch.queries.push_back(
-            QueryUpdate{id, QueryUpdate::Kind::kTerminate, NetworkPoint{},
-                        1});
-        registered[id] = false;
-        break;
-      default:
-        break;
-    }
-  }
 
-  // Edges pass through; the engine validates ids and weights (a rejected
-  // batch falls back to per-update bisection, so a bad weight update is
-  // dropped alone).
-  for (const ServeRequest& r : edges) {
-    out.batch.edges.push_back(
-        EdgeUpdate{static_cast<EdgeId>(r.id), r.weight});
-  }
+  // Objects: the request carries no old position, so the running
+  // position supplies it.
+  walk(
+      objects, "object id",
+      [&](ObjectId id) -> std::optional<NetworkPoint> {
+        const NetworkPoint* pos = server.objects().Find(id);
+        if (pos == nullptr) return std::nullopt;
+        return *pos;
+      },
+      [&](const ServeRequest& r, ObjectId id,
+          std::optional<NetworkPoint>* pos) {
+        ObjectUpdate u{id, std::nullopt, r.pos};
+        if (r.op != Op::kAddObject) {
+          if (!pos->has_value()) {
+            return Status::NotFound("update for unknown object");
+          }
+          u.old_pos = *pos;
+          if (r.op == Op::kRemoveObject) u.new_pos = std::nullopt;
+        }
+        CKNN_RETURN_NOT_OK(CheckObjectUpdate(u, *pos, num_edges));
+        out.batch.objects.push_back(u);
+        *pos = u.new_pos;
+        return Status::OK();
+      });
+
+  // Queries: the running registration starts from the caller-side
+  // registry (safe to consult mid-flight); terminate-then-reinstall
+  // chains are legal and fold downstream.
+  walk(
+      queries, "query id",
+      [&](QueryId id) { return server.shards().IsRegistered(id); },
+      [&](const ServeRequest& r, QueryId id, bool* registered) {
+        QueryUpdate u{id, QueryUpdate::Kind::kInstall, r.pos, r.k};
+        if (r.op == Op::kMoveQuery) {
+          u = QueryUpdate{id, QueryUpdate::Kind::kMove, r.pos, 1};
+        } else if (r.op == Op::kTerminateQuery) {
+          u = QueryUpdate{id, QueryUpdate::Kind::kTerminate, NetworkPoint{},
+                          1};
+        }
+        CKNN_RETURN_NOT_OK(CheckQueryUpdate(u, *registered, num_edges));
+        out.batch.queries.push_back(u);
+        *registered = u.kind != QueryUpdate::Kind::kTerminate;
+        return Status::OK();
+      });
+
+  // Edges: no running state.
+  walk(
+      edges, "edge", [](EdgeId) { return false; },
+      [&](const ServeRequest& r, EdgeId edge, bool*) {
+        const EdgeUpdate u{edge, r.weight};
+        CKNN_RETURN_NOT_OK(CheckEdgeUpdate(u, num_edges));
+        out.batch.edges.push_back(u);
+        return Status::OK();
+      });
+
+  std::sort(out.rejected.begin(), out.rejected.end(),
+            [](const Rejection& a, const Rejection& b) {
+              return a.index < b.index;
+            });
   return out;
 }
 

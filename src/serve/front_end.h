@@ -88,8 +88,11 @@ struct ServingStats {
 /// explicit: `TrySubmit` returns ResourceExhausted when the queue is full,
 /// `Submit` blocks until space frees up, and nothing in the client-facing
 /// surface can trip an internal `CKNN_CHECK` — reads go through the
-/// server's non-aborting `Try*` accessors and per-request validation
-/// failures are counted and dropped, never fatal.
+/// server's non-aborting `Try*` accessors, and each request is checked
+/// with the server's own admission rules (`CheckObjectUpdate` and friends,
+/// src/core/server.h) as the window is built: a failing request is counted
+/// and dropped alone, and every window with an admitted update costs
+/// exactly one engine tick.
 ///
 /// Determinism: the batch built from a drained queue slice stable-sorts
 /// each stream by entity id, so any interleaving of producers that
@@ -105,11 +108,17 @@ struct ServingStats {
 /// destructor implies it.
 class ServingFrontEnd {
  public:
+  /// A request dropped at build time, and why.
+  struct Rejection {
+    std::size_t index = 0;  ///< Position in the window (arrival order).
+    Status status;
+  };
+
   /// Outcome of folding one queue slice into a tick batch.
   struct BatchBuild {
     UpdateBatch batch;
-    /// Requests dropped at build time (unknown entity, double install...).
-    std::uint64_t rejected = 0;
+    /// Requests the admission rules refused, in window order.
+    std::vector<Rejection> rejected;
   };
 
   /// \param server the drained engine to feed; must outlive the front end.
@@ -157,16 +166,24 @@ class ServingFrontEnd {
   /// Snapshot of the serving counters (percentiles computed on the spot).
   ServingStats Stats() const CKNN_EXCLUDES(queue_mu_, engine_mu_);
 
-  /// Last non-OK status the engine reported (per-update rejects included);
-  /// OK if none. For diagnostics — rejects are already counted in Stats().
+  /// Last non-OK status: the reason of the latest rejected request, or an
+  /// engine failure (a refused window, a failed drain); OK if none. For
+  /// diagnostics — rejects are already counted in Stats().
   Status last_error() const CKNN_EXCLUDES(engine_mu_);
 
   /// Folds `requests` (arrival order) into one canonical tick batch
-  /// against `server`'s current tables: streams split per kind, stable-
-  /// sorted by entity id, object old-positions resolved through the table
-  /// plus a within-batch overlay, and requests that cannot possibly
-  /// validate (unknown object/query, double add/install) dropped and
-  /// counted. Static so tests can replay the exact serving fold serially.
+  /// against `server`'s current tables. Streams are split per kind and
+  /// stable-sorted by entity id; each entity's chain is then walked with
+  /// one running state (position or registration) seeded from the tables.
+  /// Each request is lowered to an update and checked with the server's
+  /// own rule: an admitted update is emitted and advances the state, a
+  /// refused one is recorded with its status. Ids first pass the wire's
+  /// range rule (`serve::CheckWireId`: above 2^32 - 1 an id would alias
+  /// another entity). The one rule of the front end's own: a move or
+  /// remove of an absent object is NotFound, since its update must carry
+  /// the current position. The batch therefore passes `SubmitBatch`'s
+  /// validation. Static so tests can replay the exact serving fold
+  /// serially.
   static BatchBuild BuildBatch(const std::vector<ServeRequest>& requests,
                                const MonitoringServer& server);
 
@@ -182,15 +199,10 @@ class ServingFrontEnd {
   /// queue_mu_ held.
   std::vector<Entry> TakeSliceLocked() CKNN_REQUIRES(queue_mu_);
 
-  /// Folds one slice into the engine: build, submit, bisect on rejection,
-  /// retire latencies. Takes engine_mu_.
+  /// Folds one slice into the engine: build, submit once, retire
+  /// latencies. Takes engine_mu_.
   void ProcessSlice(std::vector<Entry> slice)
       CKNN_EXCLUDES(queue_mu_, engine_mu_);
-
-  /// Re-applies a rejected batch one update per tick so one bad update
-  /// cannot veto its neighbors. engine_mu_ held.
-  void BisectRejectedLocked(const UpdateBatch& batch)
-      CKNN_REQUIRES(engine_mu_);
 
   /// Drains the engine and retires pending latencies. engine_mu_ held.
   Status DrainEngineLocked() CKNN_REQUIRES(engine_mu_);

@@ -68,8 +68,8 @@ struct LoadScenarioReport {
   /// outside `total_seconds`.
   double setup_seconds = 0.0;
   /// The front end's latched `last_error()` after the final drain. The
-  /// generated workload is valid, so any engine-side rejection during the
-  /// run is a real failure — admission drops and build-time rejects are
+  /// generated workload is valid, so any rejected request or engine
+  /// failure during the run is a real failure — admission drops are
   /// counted in `stats`, never latched here. Callers must check this:
   /// `stats` alone cannot distinguish a clean run from one whose updates
   /// the engine refused.

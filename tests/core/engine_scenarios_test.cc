@@ -238,5 +238,82 @@ TEST_F(EngineScenarioTest, MultipleQueriesIndependentResults) {
   ExpectResultMatchesOracle(2, NetworkPoint{e34_, 0.8}, 1);
 }
 
+// Two decreases in one timestamp. Lowering the subtree below A-B prunes E,
+// which is nearer than the subtree's deep end D; the shortcut D-E then
+// reaches D through E. The non-tree rule bounds that path by D's own
+// distance, which is sound only while no unsettled node is nearer than a
+// settled one; D must not keep its lowered but stale distance.
+//
+//   Z - 0 - A - B - C - D - F   (query at 0, object on D-F)
+//        \_______E______/
+TEST(EngineDecreaseTest, ShortcutThroughANodeAnEarlierDecreasePruned) {
+  RoadNetwork net;
+  NodeId n[8];
+  for (int i = 0; i < 8; ++i) n[i] = net.AddNode(Point{0.1 * i, 0.0});
+  const NodeId z = n[0], o = n[1], a = n[2], b = n[3], c = n[4], d = n[5],
+               e = n[6], f = n[7];
+  const EdgeId zo = *net.AddEdge(o, z, 1.0);
+  const EdgeId ab = *net.AddEdge(a, b, 20.0);
+  const EdgeId de = *net.AddEdge(d, e, 60.0);
+  const EdgeId df = *net.AddEdge(d, f, 10.0);
+  ASSERT_TRUE(net.AddEdge(o, a, 10.0).ok());
+  ASSERT_TRUE(net.AddEdge(b, c, 40.0).ok());
+  ASSERT_TRUE(net.AddEdge(c, d, 40.0).ok());
+  ASSERT_TRUE(net.AddEdge(o, e, 60.0).ok());
+  ObjectTable objects(net.NumEdges());
+  ASSERT_TRUE(objects.Insert(0, NetworkPoint{df, 0.5}).ok());
+  ImaEngine engine(&net, &objects);
+  const NetworkPoint query{zo, 0.0};
+  ASSERT_TRUE(engine.AddQuery(1, ExpansionSource::AtPoint(query), 1).ok());
+  ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 115.0, 1e-9);
+
+  engine.ProcessUpdates({}, {EdgeUpdate{ab, 5.0}, EdgeUpdate{de, 10.0}}, {});
+  // 0-E-D-F: 60 + 10 + 5.
+  ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 75.0, 1e-9);
+  testing::ExpectSameDistances(*engine.ResultOf(1),
+                               testing::BruteForceKnn(net, objects, query, 1));
+  EXPECT_TRUE(engine.CheckInvariants().ok());
+}
+
+// Across timestamps. Raising 0-X prunes X while S, kept from a larger
+// bound, stays settled: X is now unsettled yet nearer than S. The next
+// timestamp's shortcut X-S then lowers S, but the non-tree rule bounds the
+// path through X by S's own distance; S must not stay stale until the
+// bound grows back past it.
+//
+//   Z - 0 - X - S - T   (query at 0; object 2 at S; object 1 on 0-P)
+//        \ \_____/
+//         P
+TEST(EngineDecreaseTest, ShortcutToANodeKeptBeyondTheFrontier) {
+  RoadNetwork net;
+  NodeId n[6];
+  for (int i = 0; i < 6; ++i) n[i] = net.AddNode(Point{0.1 * i, 0.0});
+  const NodeId o = n[0], z = n[1], p = n[2], x = n[3], s = n[4], t = n[5];
+  const EdgeId oz = *net.AddEdge(o, z, 1.0);
+  const EdgeId op = *net.AddEdge(o, p, 20.0);
+  const EdgeId ox = *net.AddEdge(o, x, 11.0);
+  const EdgeId xs = *net.AddEdge(x, s, 5.0);
+  const EdgeId st = *net.AddEdge(s, t, 10.0);
+  ASSERT_TRUE(net.AddEdge(o, s, 12.5).ok());
+  ObjectTable objects(net.NumEdges());
+  ASSERT_TRUE(objects.Insert(2, NetworkPoint{st, 0.0}).ok());
+  ImaEngine engine(&net, &objects);
+  const NetworkPoint query{oz, 0.0};
+  ASSERT_TRUE(engine.AddQuery(1, ExpansionSource::AtPoint(query), 1).ok());
+  ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 12.5, 1e-9);
+
+  const NetworkPoint near_pos{op, 0.5};
+  engine.ProcessUpdates({ObjectUpdate{1, std::nullopt, near_pos}},
+                        {EdgeUpdate{ox, 11.5}}, {});
+  ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 10.0, 1e-9);
+  engine.ProcessUpdates({}, {EdgeUpdate{xs, 0.1}}, {});
+  engine.ProcessUpdates({ObjectUpdate{1, near_pos, std::nullopt}}, {}, {});
+  // 0-X-S: 11.5 + 0.1.
+  ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 11.6, 1e-9);
+  testing::ExpectSameDistances(*engine.ResultOf(1),
+                               testing::BruteForceKnn(net, objects, query, 1));
+  EXPECT_TRUE(engine.CheckInvariants().ok());
+}
+
 }  // namespace
 }  // namespace cknn

@@ -305,5 +305,59 @@ TEST(GmaTest, ShardedServerCountsSequenceTableOnce) {
   EXPECT_GE(mem8, serial.MonitorMemoryBytes());
 }
 
+// An object exactly at the bound, on an edge the walk enters at its far
+// end: the edge's reach is 0, yet it needs an interval, or the object's
+// move is filtered away and the query keeps it as a stale neighbor.
+TEST(GmaTest, MoveOfAnObjectAtTheBoundReachesTheQuery) {
+  // Grid 3: e0 = 0-1, e1 = 0-3, e2 = 1-2. Query 1 on e0 at 0.25 from the
+  // corner 0; object 1 sits on the corner (e1, t = 0), at the bound.
+  MonitoringServer gma(testing::MakeGrid(3), Algorithm::kGma);
+  MonitoringServer ovh(testing::MakeGrid(3), Algorithm::kOvh);
+  UpdateBatch setup;
+  setup.objects.push_back(ObjectUpdate{0, std::nullopt, NetworkPoint{1, 0.75}});
+  setup.objects.push_back(ObjectUpdate{1, std::nullopt, NetworkPoint{1, 0.0}});
+  setup.queries.push_back(
+      QueryUpdate{1, QueryUpdate::Kind::kInstall, NetworkPoint{0, 0.25}, 1});
+  ASSERT_TRUE(gma.Tick(setup).ok());
+  ASSERT_TRUE(ovh.Tick(setup).ok());
+  UpdateBatch move;
+  move.objects.push_back(
+      ObjectUpdate{1, NetworkPoint{1, 0.0}, NetworkPoint{2, 0.75}});
+  ASSERT_TRUE(gma.Tick(move).ok());
+  ASSERT_TRUE(ovh.Tick(move).ok());
+  ASSERT_NEAR((*ovh.ResultOf(1))[0].distance, 1.0, 1e-9);
+  testing::ExpectSameDistances(*gma.ResultOf(1), *ovh.ResultOf(1));
+}
+
+// A termination in the same timestamp as an object move. The server moves
+// the object in the shared table before the monitors run. Were the
+// terminated query detached before the engine routed the move, lowering
+// the shared active node's k would re-expand the node against the moved
+// object, and the other query would keep the object at its old distance.
+TEST(GmaTest, TerminationBesideAnObjectMoveKeepsTheOtherQueryFresh) {
+  MonitoringServer gma(testing::MakeGrid(3), Algorithm::kGma);
+  MonitoringServer ovh(testing::MakeGrid(3), Algorithm::kOvh);
+  UpdateBatch setup;
+  const NetworkPoint objects[] = {
+      {5, 0.5}, {2, 1.0}, {1, 0.75}, {10, 0.75}};
+  for (ObjectId i = 0; i < 4; ++i) {
+    setup.objects.push_back(ObjectUpdate{i, std::nullopt, objects[i]});
+  }
+  setup.queries.push_back(
+      QueryUpdate{0, QueryUpdate::Kind::kInstall, NetworkPoint{10, 0.25}, 2});
+  setup.queries.push_back(
+      QueryUpdate{1, QueryUpdate::Kind::kInstall, NetworkPoint{11, 0.5}, 1});
+  ASSERT_TRUE(gma.Tick(setup).ok());
+  ASSERT_TRUE(ovh.Tick(setup).ok());
+  UpdateBatch batch;
+  batch.objects.push_back(
+      ObjectUpdate{3, objects[3], NetworkPoint{3, 0.75}});
+  batch.queries.push_back(
+      QueryUpdate{0, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
+  ASSERT_TRUE(gma.Tick(batch).ok());
+  ASSERT_TRUE(ovh.Tick(batch).ok());
+  testing::ExpectSameDistances(*gma.ResultOf(1), *ovh.ResultOf(1));
+}
+
 }  // namespace
 }  // namespace cknn

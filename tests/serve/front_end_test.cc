@@ -1,9 +1,11 @@
 // ServingFrontEnd semantics (docs/serving.md): bounded-queue admission
 // control (ResourceExhausted, never abort), blocking back-pressure and its
 // release, drain-on-shutdown, non-aborting reads, and per-request
-// validation that counts-and-drops instead of vetoing the batch.
+// validation with the server's own rules that counts-and-drops instead of
+// vetoing the batch, one engine tick per window.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -60,6 +62,25 @@ ServeRequest UpdateWeight(std::uint64_t edge, double weight) {
   r.id = edge;
   r.weight = weight;
   return r;
+}
+
+/// Status codes of `BuildBatch`'s rejections of `window`, in window order.
+std::vector<StatusCode> RejectedCodes(const std::vector<ServeRequest>& window,
+                                      const MonitoringServer& server) {
+  std::vector<StatusCode> codes;
+  for (const ServingFrontEnd::Rejection& r :
+       ServingFrontEnd::BuildBatch(window, server).rejected) {
+    codes.push_back(r.status.code());
+  }
+  return codes;
+}
+
+/// Submits `window` without a pump and flushes it.
+void SubmitWindow(ServingFrontEnd* fe,
+                  const std::vector<ServeRequest>& window) {
+  for (const ServeRequest& r : window) ASSERT_TRUE(fe->TrySubmit(r).ok());
+  const Status flushed = fe->Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
 }
 
 TEST(FrontEndTest, QueueFullRejectsWithResourceExhausted) {
@@ -152,32 +173,92 @@ TEST(FrontEndTest, ReadYourWritesAfterFlush) {
 TEST(FrontEndTest, InvalidRequestsAreCountedAndDropped) {
   MonitoringServer server = MakeServer();
   ServingFrontEnd fe(&server);  // No pump: windows are explicit.
+  const auto no_edge = static_cast<EdgeId>(server.network().NumEdges());
 
-  // Build-time rejects: unknown move/remove, double install.
-  ASSERT_TRUE(fe.TrySubmit(MoveObject(42, 0, 0.5)).ok());
-  ASSERT_TRUE(fe.TrySubmit(RemoveObject(43)).ok());
-  ASSERT_TRUE(fe.TrySubmit(InstallQuery(1, 0, 0.5, 1)).ok());
-  ASSERT_TRUE(fe.TrySubmit(InstallQuery(1, 1, 0.5, 1)).ok());
-  ASSERT_TRUE(fe.Flush().ok());
+  // Unknown move/remove, double install.
+  const std::vector<ServeRequest> first = {
+      MoveObject(42, 0, 0.5), RemoveObject(43), InstallQuery(1, 0, 0.5, 1),
+      InstallQuery(1, 1, 0.5, 1)};
+  EXPECT_EQ(RejectedCodes(first, server),
+            (std::vector<StatusCode>{StatusCode::kNotFound,
+                                     StatusCode::kNotFound,
+                                     StatusCode::kAlreadyExists}));
+  SubmitWindow(&fe, first);
   ServingStats stats = fe.Stats();
   EXPECT_EQ(stats.rejected_invalid, 3u);
   EXPECT_EQ(stats.applied, 1u);  // The first install.
+  EXPECT_EQ(stats.ticks, 1u);
 
-  // Engine-side reject (an edge id the network does not have): the batch
-  // bounces, the bisection applies the good update and drops the bad one
-  // alone — one bad request never vetoes its neighbors.
-  ASSERT_TRUE(fe.TrySubmit(AddObject(7, 0, 0.5)).ok());
-  ASSERT_TRUE(fe.TrySubmit(UpdateWeight(std::uint64_t{1} << 30, 2.0)).ok());
-  ASSERT_TRUE(fe.Flush().ok());
+  // The rules the server applies to a raw batch: an edge id the network
+  // does not have, k = 0, a position off the network, a NaN weight. The
+  // valid add beside them still applies, in the window's one tick.
+  const std::vector<ServeRequest> second = {
+      AddObject(7, 0, 0.5), UpdateWeight(std::uint64_t{1} << 30, 2.0),
+      InstallQuery(2, 0, 0.5, 0), AddObject(8, no_edge, 0.5),
+      UpdateWeight(0, std::nan(""))};
+  EXPECT_EQ(RejectedCodes(second, server),
+            (std::vector<StatusCode>{StatusCode::kNotFound,
+                                     StatusCode::kInvalidArgument,
+                                     StatusCode::kInvalidArgument,
+                                     StatusCode::kInvalidArgument}));
+  SubmitWindow(&fe, second);
   stats = fe.Stats();
-  EXPECT_EQ(stats.rejected_invalid, 4u);
+  EXPECT_EQ(stats.rejected_invalid, 7u);
   EXPECT_EQ(stats.applied, 2u);
+  EXPECT_EQ(stats.ticks, 2u);
   EXPECT_FALSE(fe.last_error().ok());
   EXPECT_TRUE(server.objects().Contains(7));
+  EXPECT_FALSE(server.objects().Contains(8));
+  EXPECT_FALSE(server.shards().IsRegistered(2));
 }
 
-// Regression: an engine-side reject is bisected away, so Flush() returns
-// OK and the counters look like an ordinary validation drop — the latched
+// Each request is checked against its entity's state after the requests
+// the window admitted, never after one it refused: the valid move after a
+// refused one applies, exactly as it does in a window of its own.
+TEST(FrontEndTest, RejectedMoveDoesNotPoisonTheNextMove) {
+  MonitoringServer server = MakeServer();
+  ServingFrontEnd fe(&server);
+  SubmitWindow(&fe, {AddObject(5, 0, 0.5)});
+  const auto no_edge = static_cast<EdgeId>(server.network().NumEdges());
+
+  SubmitWindow(&fe, {MoveObject(5, no_edge, 0.5), MoveObject(5, 1, 0.25)});
+  const ServingStats stats = fe.Stats();
+  EXPECT_EQ(stats.rejected_invalid, 1u);
+  EXPECT_EQ(stats.applied, 2u);
+  EXPECT_EQ(stats.ticks, 2u);
+  Result<NetworkPoint> pos = server.objects().Position(5);
+  ASSERT_TRUE(pos.ok());
+  EXPECT_EQ(*pos, (NetworkPoint{1, 0.25}));
+}
+
+// ServeRequest ids are 64-bit, engine ids 32-bit: an in-process producer's
+// id above 2^32 - 1 is refused, never truncated onto another entity
+// (object 2^32 + 9 onto object 9, edge 2^32 + 3 onto edge 3).
+TEST(FrontEndTest, WideIdsAreRejectedWithoutAliasing) {
+  MonitoringServer server = MakeServer();
+  ServingFrontEnd fe(&server);
+  const std::uint64_t wide = std::uint64_t{1} << 32;
+  const double weight3 = server.network().edge(3).weight;
+  const std::vector<ServeRequest> window = {
+      AddObject(wide + 9, 0, 0.5), UpdateWeight(wide + 3, weight3 + 1.0),
+      InstallQuery(wide + 1, 0, 0.5, 1), InstallQuery(2, 0, 0.5, 1)};
+  EXPECT_EQ(RejectedCodes(window, server),
+            (std::vector<StatusCode>{StatusCode::kInvalidArgument,
+                                     StatusCode::kInvalidArgument,
+                                     StatusCode::kInvalidArgument}));
+  SubmitWindow(&fe, window);
+  const ServingStats stats = fe.Stats();
+  EXPECT_EQ(stats.rejected_invalid, 3u);
+  EXPECT_EQ(stats.applied, 1u);
+  EXPECT_FALSE(server.objects().Contains(9));
+  EXPECT_EQ(server.objects().size(), 0u);
+  EXPECT_EQ(server.network().edge(3).weight, weight3);
+  EXPECT_FALSE(server.shards().IsRegistered(1));
+  EXPECT_TRUE(server.shards().IsRegistered(2));
+}
+
+// Regression: a rejected request is dropped alone, so Flush() returns OK
+// and the counters look like an ordinary validation drop — the latched
 // last_error() is the only witness. Report consumers (the load scenario's
 // `engine_error` field) must carry it; reading Stats() alone reproduces
 // the old silent-failure path.

@@ -164,7 +164,7 @@ TEST_P(ServingDeterminismTest, ProducersMatchSerialReplay) {
     // fold the front end applies), ticked once.
     ServingFrontEnd::BatchBuild build =
         ServingFrontEnd::BuildBatch(window, serial);
-    ASSERT_EQ(build.rejected, 0u);
+    ASSERT_TRUE(build.rejected.empty());
     ASSERT_TRUE(serial.Tick(build.batch).ok());
 
     // Served side: the window arrives interleaved across N producers.
@@ -237,7 +237,7 @@ TEST(ServingPumpDeterminismTest, PumpedProducersMatchSerialForOvh) {
   for (const std::vector<ServeRequest>& window : windows) {
     ServingFrontEnd::BatchBuild build =
         ServingFrontEnd::BuildBatch(window, serial);
-    ASSERT_EQ(build.rejected, 0u);
+    ASSERT_TRUE(build.rejected.empty());
     ASSERT_TRUE(serial.Tick(build.batch).ok());
 
     std::vector<std::vector<ServeRequest>> slices(kProducers);
