@@ -89,9 +89,8 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
 
   // Objects sharing the query's edge: along-edge distance (the walks below
   // also reach them "around", Offer keeps the minimum).
-  for (ObjectId obj : objects_->ObjectsOn(query_edge)) {
-    const NetworkPoint pos = objects_->Position(obj).value();
-    cand.Offer(obj, std::abs(pos.t - uq->pos.t) * qe.weight);
+  for (const EdgeObject& obj : objects_->ObjectsOn(query_edge)) {
+    cand.Offer(obj.id, std::abs(obj.t() - uq->pos.t) * qe.weight);
   }
 
   struct Touch {
@@ -139,11 +138,10 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
       const EdgeId e = seq.edges[edge_index];
       if (e == query_edge) return;  // Wrapped all the way around.
       const RoadNetwork::Edge& ed = net_->edge(e);
-      for (ObjectId obj : objects_->ObjectsOn(e)) {
-        const NetworkPoint pos = objects_->Position(obj).value();
+      for (const EdgeObject& obj : objects_->ObjectsOn(e)) {
         const double off =
-            ed.u == n ? pos.t * ed.weight : (1.0 - pos.t) * ed.weight;
-        cand.Offer(obj, d + off);
+            ed.u == n ? obj.t() * ed.weight : (1.0 - obj.t()) * ed.weight;
+        cand.Offer(obj.id, d + off);
       }
       touched.push_back(Touch{e, d, n});
       d += ed.weight;

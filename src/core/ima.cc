@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/graph/network_point.h"
 #include "src/util/macros.h"
 #include "src/util/mem.h"
 
@@ -95,6 +96,23 @@ void ImaEngine::ForEachInfluenced(EdgeId e, Fn&& fn) {
 }
 
 void ImaEngine::RederiveFrontierNode(Entry* entry, NodeId n) {
+  const ExpansionSource& src = entry->source;
+  if (!src.at_node) {
+    // A pruned endpoint of the query's edge is reached straight along it.
+    // Without that key the frontier's nearest key overstates the nearest
+    // unsettled distance, and RestorePrefix keeps nodes beyond it.
+    const RoadNetwork::Edge& ed = net_->edge(src.point.edge);
+    if (n == ed.u) {
+      entry->frontier.Relax(entry->state, n,
+                            WeightOffsetFromU(*net_, src.point), kInvalidNode,
+                            src.point.edge);
+    }
+    if (n == ed.v) {
+      entry->frontier.Relax(entry->state, n,
+                            WeightOffsetFromV(*net_, src.point), kInvalidNode,
+                            src.point.edge);
+    }
+  }
   for (const RoadNetwork::Incidence& inc : net_->Incidences(n)) {
     if (auto d = entry->state.NodeDistance(inc.neighbor)) {
       entry->frontier.Relax(entry->state, n,
@@ -403,13 +421,12 @@ std::vector<QueryId> ImaEngine::ProcessUpdates(
 }
 
 void ImaEngine::RescanEdge(Entry* entry, EdgeId e) {
-  for (ObjectId obj : objects_->ObjectsOn(e)) {
-    const NetworkPoint pos = objects_->Position(obj).value();
-    auto d = entry->state.PointDistance(*net_, pos);
+  for (const EdgeObject& obj : objects_->ObjectsOn(e)) {
+    auto d = entry->state.PointDistance(*net_, NetworkPoint{e, obj.t()});
     if (d.has_value()) {
-      entry->known.Set(obj, *d);
+      entry->known.Set(obj.id, *d);
     } else {
-      entry->known.Remove(obj);
+      entry->known.Remove(obj.id);
     }
   }
 }

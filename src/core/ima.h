@@ -175,7 +175,8 @@ class ImaEngine {
   /// After an edge's weight changed: re-derives tentative labels that went
   /// through it (stale keys would otherwise settle wrongly).
   void RepairEdgeKeys(Entry* entry, EdgeId edge);
-  /// Re-relaxes one unsettled node from all its settled neighbors.
+  /// Re-relaxes one unsettled node from all its settled neighbors and,
+  /// for an endpoint of the query's own edge, straight from the query.
   void RederiveFrontierNode(Entry* entry, NodeId n);
   /// After a subtree was lowered: prunes every settled node farther than
   /// the nearest frontier key, so that no unsettled node is nearer than a

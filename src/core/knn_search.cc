@@ -36,9 +36,8 @@ void ExpandToK(const RoadNetwork& net, const ObjectTable& objects, int k,
 
   auto offer_objects_on_edge = [&](EdgeId e, NodeId from, double base) {
     const RoadNetwork::Edge& ed = net.edge(e);
-    for (ObjectId obj : objects.ObjectsOn(e)) {
-      const NetworkPoint pos = objects.Position(obj).value();
-      candidates->Offer(obj, base + OffsetFrom(ed, pos.t, from));
+    for (const EdgeObject& obj : objects.ObjectsOn(e)) {
+      candidates->Offer(obj.id, base + OffsetFrom(ed, obj.t(), from));
       if (stats != nullptr) ++stats->objects_offered;
     }
   };
@@ -61,9 +60,9 @@ void ExpandToK(const RoadNetwork& net, const ObjectTable& objects, int k,
                     kInvalidNode, src.point.edge);
     frontier->Relax(*state, ed.v, WeightOffsetFromV(net, src.point),
                     kInvalidNode, src.point.edge);
-    for (ObjectId obj : objects.ObjectsOn(src.point.edge)) {
-      const NetworkPoint pos = objects.Position(obj).value();
-      candidates->Offer(obj, AlongEdgeDistance(net, src.point, pos));
+    for (const EdgeObject& obj : objects.ObjectsOn(src.point.edge)) {
+      const NetworkPoint pos{src.point.edge, obj.t()};
+      candidates->Offer(obj.id, AlongEdgeDistance(net, src.point, pos));
       if (stats != nullptr) ++stats->objects_offered;
     }
   }

@@ -3,32 +3,55 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/core/updates.h"
 #include "src/graph/network_point.h"
 #include "src/graph/road_network.h"
 #include "src/graph/types.h"
+#include "src/util/flat_id_map.h"
 #include "src/util/result.h"
 #include "src/util/status.h"
 
 namespace cknn {
+
+/// One object on an edge: its id and its offset along the edge (a
+/// fraction of the edge from endpoint u, as in `NetworkPoint::t`). The
+/// offset is held as raw bytes so an entry packs into 12 bytes, as
+/// `CandidateSet`'s slots do; a bare id list took 4.
+struct EdgeObject {
+  ObjectId id = kInvalidObject;
+  std::uint32_t t_bits[2] = {0, 0};
+
+  EdgeObject() = default;
+  EdgeObject(ObjectId object, double offset) : id(object) { set_t(offset); }
+
+  double t() const {
+    double offset = 0.0;
+    std::memcpy(&offset, t_bits, sizeof offset);
+    return offset;
+  }
+  void set_t(double offset) { std::memcpy(t_bits, &offset, sizeof offset); }
+};
+static_assert(sizeof(EdgeObject) == 12, "edge-list entries pack to 12 bytes");
 
 /// \brief Positions of all data objects, with per-edge object lists — the
 /// object half of the paper's edge table *ET* (Section 3).
 ///
 /// Lookup directions:
 ///  * object id -> network point (for update validation and distances),
-///  * edge id   -> ids of objects currently on the edge (scanned during
-///                 network expansion, Fig. 2 line 14).
+///  * edge id   -> (id, offset) of the objects currently on the edge
+///                 (scanned during network expansion, Fig. 2 line 14).
 ///
-/// The id map is one flat open-addressing array (linear probing,
-/// multiplicative hashing, backward-shift deletion): no allocation per
-/// object, one probe per lookup, and memory proportional to the live
-/// objects for any id pattern (it grows at 3/4 load and shrinks below
-/// 1/8). Each entry also records its index in its edge's list, so detaching
-/// an object is an O(1) swap-erase. Every id, `kInvalidObject` included,
-/// is a valid key.
+/// As in ET, each edge list carries its objects' offsets, so a scan of an
+/// edge reads every object's position from the list itself and never
+/// probes the id map. The id map is a `FlatIdMap` (one flat
+/// open-addressing array): no allocation per object, one probe per lookup,
+/// and memory proportional to the live objects for any id pattern. Each
+/// entry also records its index in its edge's list, so detaching an object
+/// is an O(1) swap-erase. Every id, `kInvalidObject` included, is a valid
+/// key.
 class ObjectTable {
  public:
   /// \param num_edges edge-count of the network the table serves.
@@ -59,16 +82,18 @@ class ObjectTable {
   /// Current position of an object, or nullptr if absent (valid until the
   /// table next mutates).
   const NetworkPoint* Find(ObjectId id) const {
-    const std::size_t i = SlotOf(id);
-    return i == kAbsent ? nullptr : &slots_[i].pos;
+    const Entry* entry = ids_.Find(id);
+    return entry == nullptr ? nullptr : &entry->pos;
   }
 
-  bool Contains(ObjectId id) const { return SlotOf(id) != kAbsent; }
+  bool Contains(ObjectId id) const { return ids_.Find(id) != nullptr; }
 
-  /// Objects currently lying on edge `e`.
-  const std::vector<ObjectId>& ObjectsOn(EdgeId e) const;
+  /// Objects currently lying on edge `e`, with their offsets. The order is
+  /// insertion order, except that detaching an object moves the list's
+  /// last entry into its place.
+  const std::vector<EdgeObject>& ObjectsOn(EdgeId e) const;
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return ids_.size(); }
 
   /// Estimated heap footprint in bytes.
   std::size_t MemoryBytes() const;
@@ -83,46 +108,15 @@ class ObjectTable {
     std::uint32_t edge_slot = 0;
 
     bool vacant() const { return pos.edge == kInvalidEdge; }
+    ObjectId key() const { return id; }
   };
-
-  static constexpr std::size_t kAbsent = ~std::size_t{0};
-
-  /// Home slot of `id` (Fibonacci hashing; needs a non-empty map).
-  std::size_t Home(ObjectId id) const {
-    return static_cast<std::size_t>(
-        (std::uint64_t{id} * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  /// Slot holding `id`, or the vacant slot where it would go.
-  std::size_t Probe(ObjectId id) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = Home(id);
-    while (!slots_[i].vacant() && slots_[i].id != id) i = (i + 1) & mask;
-    return i;
-  }
-
-  /// Slot holding `id`, or kAbsent.
-  std::size_t SlotOf(ObjectId id) const {
-    if (slots_.empty()) return kAbsent;
-    const std::size_t i = Probe(id);
-    return slots_[i].vacant() ? kAbsent : i;
-  }
-
-  /// Re-inserts every entry into `capacity` (a power of two) slots.
-  void Rehash(std::size_t capacity);
-
-  /// Vacates slot `i`, shifting later entries of its probe run back.
-  void EraseSlot(std::size_t i);
 
   /// Swap-erases `entry`'s id from its edge list, fixing the edge slot of
   /// the id moved into its place.
   void DetachFromEdge(const Entry& entry);
 
-  std::vector<Entry> slots_;
-  std::size_t size_ = 0;
-  /// 64 - log2(slots_.size()).
-  unsigned shift_ = 64;
-  std::vector<std::vector<ObjectId>> per_edge_;
+  FlatIdMap<Entry> ids_;
+  std::vector<std::vector<EdgeObject>> per_edge_;
 };
 
 }  // namespace cknn

@@ -1,9 +1,9 @@
 #include "src/core/top_k.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/util/macros.h"
-#include "src/util/mem.h"
 
 namespace cknn {
 
@@ -33,75 +33,77 @@ bool CandidateSet::TopErase(const Key& key) const {
 void CandidateSet::EnsureTop() const {
   if (top_exact_) return;
   top_.clear();
-  // cknn-lint: allow(unordered-iter) bounded insert under a total order
-  for (const auto& [id, dist] : by_id_) {
-    const Key key{dist, id};
+  by_id_.ForEach([&](const Slot& slot) {
+    const Key key{slot.dist(), slot.id};
     if (top_.size() == static_cast<std::size_t>(top_cap_)) {
-      if (key >= top_.back()) continue;
+      if (key >= top_.back()) return;
       top_.pop_back();
     }
     top_.insert(std::lower_bound(top_.begin(), top_.end(), key), key);
-  }
+  });
   top_exact_ = true;
 }
 
 bool CandidateSet::Offer(ObjectId id, double dist) {
-  const auto [it, inserted] = by_id_.try_emplace(id, dist);
+  CKNN_DCHECK(!std::isnan(dist));
+  const auto [slot, inserted] = by_id_.Insert(Slot(id, dist));
   if (inserted) {
     TopInsert(Key{dist, id});
     return true;
   }
-  if (dist >= it->second) return false;
+  const double old = slot->dist();
+  if (dist >= old) return false;
   // A lowered entry can only move up: drop its old key (if tracked) and
   // re-insert — exactness is preserved, untracked entries stay >= back.
-  TopErase(Key{it->second, id});
+  TopErase(Key{old, id});
   TopInsert(Key{dist, id});
-  it->second = dist;
+  slot->set_dist(dist);
   return true;
 }
 
 void CandidateSet::Set(ObjectId id, double dist) {
-  const auto [it, inserted] = by_id_.try_emplace(id, dist);
+  CKNN_DCHECK(!std::isnan(dist));
+  const auto [slot, inserted] = by_id_.Insert(Slot(id, dist));
   if (inserted) {
     TopInsert(Key{dist, id});
     return;
   }
-  if (dist == it->second) return;
-  if (dist < it->second) {
-    TopErase(Key{it->second, id});
+  const double old = slot->dist();
+  if (dist == old) return;
+  slot->set_dist(dist);
+  if (dist < old) {
+    TopErase(Key{old, id});
     TopInsert(Key{dist, id});
-    it->second = dist;
     return;
   }
   // Raised distance: a tracked entry may now rank behind an untracked one
   // we know nothing about — the array goes stale unless the whole set fits
   // in it. Raising an untracked entry keeps it untracked (still >= back).
-  if (TopErase(Key{it->second, id})) {
+  if (TopErase(Key{old, id})) {
     if (by_id_.size() <= static_cast<std::size_t>(top_cap_)) {
       TopInsert(Key{dist, id});
     } else {
       top_exact_ = false;
     }
   }
-  it->second = dist;
 }
 
 std::optional<double> CandidateSet::Remove(ObjectId id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  const double dist = it->second;
+  Slot* slot = by_id_.Find(id);
+  if (slot == nullptr) return std::nullopt;
+  const double dist = slot->dist();
   if (TopErase(Key{dist, id}) && by_id_.size() - 1 > top_.size()) {
     // An untracked entry should be promoted into the freed slot.
     top_exact_ = false;
   }
-  by_id_.erase(it);
+  by_id_.Erase(slot);
   return dist;
 }
 
 std::optional<double> CandidateSet::DistanceOf(ObjectId id) const {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  return it->second;
+  const Slot* slot = by_id_.Find(id);
+  if (slot == nullptr) return std::nullopt;
+  return slot->dist();
 }
 
 double CandidateSet::KthDist(int k) const {
@@ -128,8 +130,8 @@ std::vector<Neighbor> CandidateSet::TopK(int k) const {
 std::vector<Neighbor> CandidateSet::All() const {
   std::vector<Key> keys;
   keys.reserve(by_id_.size());
-  // cknn-lint: allow(unordered-iter) collected then sorted below
-  for (const auto& [id, dist] : by_id_) keys.push_back(Key{dist, id});
+  by_id_.ForEach(
+      [&](const Slot& slot) { keys.push_back(Key{slot.dist(), slot.id}); });
   std::sort(keys.begin(), keys.end());
   std::vector<Neighbor> out;
   out.reserve(keys.size());
@@ -140,10 +142,7 @@ std::vector<Neighbor> CandidateSet::All() const {
 }
 
 void CandidateSet::PruneBeyond(double bound) {
-  // cknn-lint: allow(unordered-iter) keyed erases; top_ repair order-free
-  for (auto it = by_id_.begin(); it != by_id_.end();) {
-    it = it->second > bound ? by_id_.erase(it) : std::next(it);
-  }
+  by_id_.EraseIf([bound](const Slot& slot) { return slot.dist() > bound; });
   if (top_exact_) {
     while (!top_.empty() && top_.back().first > bound) top_.pop_back();
     if (by_id_.size() > top_.size()) top_exact_ = false;
@@ -151,13 +150,13 @@ void CandidateSet::PruneBeyond(double bound) {
 }
 
 void CandidateSet::Clear() {
-  by_id_.clear();
+  by_id_.Clear();
   top_.clear();
   top_exact_ = true;
 }
 
 std::size_t CandidateSet::MemoryBytes() const {
-  return HashMapBytes(by_id_) + top_.capacity() * sizeof(Key);
+  return by_id_.MemoryBytes() + top_.capacity() * sizeof(Key);
 }
 
 }  // namespace cknn

@@ -2,12 +2,14 @@
 #define CKNN_CORE_TOP_K_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "src/core/updates.h"
 #include "src/graph/types.h"
+#include "src/util/flat_id_map.h"
 
 namespace cknn {
 
@@ -29,7 +31,13 @@ namespace cknn {
 /// the nearest entries. The expansion hot path only ever Offers and reads
 /// `KthDist`, both O(1)-ish against the array (a sorted insert of a few
 /// dozen elements), replacing the former red-black-tree node churn. The
-/// side map is deliberately a hash map, not a `DenseIdMap`: a monitoring
+/// side map is a `FlatIdMap` of 12-byte slots: one flat array, so an
+/// Offer or Remove allocates and frees nothing (a node-based
+/// `std::unordered_map` paid one heap node per new candidate; replacing
+/// it, together with the edge-resident object offsets, halved the
+/// benchmark's `paper_ima` tick, see docs/expansion.md), and a cleared
+/// scratch set keeps its array for the next search. It is still
+/// deliberately a hash map, not a `DenseIdMap`: a monitoring
 /// server keeps one CandidateSet per query, each holding a handful of
 /// candidates drawn from the whole object-id space, and a dense page
 /// table would cost O(id space) bytes and O(id space / page) iteration
@@ -47,7 +55,7 @@ class CandidateSet {
   CandidateSet() = default;
 
   /// Lowers the stored distance of `id` to `dist` if it improves (or inserts
-  /// it). Returns true if the set changed.
+  /// it). Returns true if the set changed. Distances are never NaN.
   bool Offer(ObjectId id, double dist);
 
   /// Replaces the stored distance of `id` (inserting if absent), regardless
@@ -61,7 +69,7 @@ class CandidateSet {
   /// Stored distance of `id`, or nullopt.
   std::optional<double> DistanceOf(ObjectId id) const;
 
-  bool Contains(ObjectId id) const { return by_id_.count(id) != 0; }
+  bool Contains(ObjectId id) const { return by_id_.Find(id) != nullptr; }
 
   std::size_t size() const { return by_id_.size(); }
   bool empty() const { return by_id_.empty(); }
@@ -78,20 +86,47 @@ class CandidateSet {
   /// Removes every candidate with distance > bound.
   void PruneBeyond(double bound);
 
+  /// Removes every candidate, keeping the map's capacity for reuse.
   void Clear();
 
-  /// Estimated heap footprint in bytes.
+  /// Estimated heap footprint in bytes: the map's slot array and the
+  /// sorted array.
   std::size_t MemoryBytes() const;
 
-  /// Iteration over (id, distance) pairs; unspecified order.
+  /// Iteration over (id, distance) pairs; unspecified order. `f` must not
+  /// modify the set.
   template <typename F>
   void ForEachCandidate(F&& f) const {
-    // cknn-lint: allow(unordered-iter) order documented unspecified at callers
-    for (const auto& [id, dist] : by_id_) f(id, dist);
+    by_id_.ForEach([&](const Slot& slot) { f(slot.id, slot.dist()); });
   }
 
  private:
   using Key = std::pair<double, ObjectId>;
+
+  /// One slot of the id -> distance map. The distance is held as raw
+  /// bytes so the slot packs into 12 bytes; the all-ones pattern (a NaN,
+  /// never a distance) marks a vacant slot, so every id is a valid key.
+  struct Slot {
+    static constexpr std::uint32_t kVacant = ~std::uint32_t{0};
+
+    ObjectId id = 0;
+    std::uint32_t dist_bits[2] = {kVacant, kVacant};
+
+    Slot() = default;
+    Slot(ObjectId object, double dist) : id(object) { set_dist(dist); }
+
+    bool vacant() const {
+      return dist_bits[0] == kVacant && dist_bits[1] == kVacant;
+    }
+    ObjectId key() const { return id; }
+    double dist() const {
+      double d = 0.0;
+      std::memcpy(&d, dist_bits, sizeof d);
+      return d;
+    }
+    void set_dist(double d) { std::memcpy(dist_bits, &d, sizeof d); }
+  };
+  static_assert(sizeof(Slot) == 12, "candidate slots pack to 12 bytes");
 
   /// Default size of the sorted nearest-entries array; covers every
   /// small-k workload without growth.
@@ -109,7 +144,7 @@ class CandidateSet {
   /// Removes `key` from top_ if present; returns true if it was there.
   bool TopErase(const Key& key) const;
 
-  std::unordered_map<ObjectId, double> by_id_;
+  FlatIdMap<Slot> by_id_;
   /// The min(size(), top_cap_) nearest (distance, id) keys, ascending,
   /// when `top_exact_`; arbitrary prefix otherwise until the next
   /// EnsureTop.

@@ -275,6 +275,41 @@ TEST(EngineDecreaseTest, ShortcutThroughANodeAnEarlierDecreasePruned) {
   EXPECT_TRUE(engine.CheckInvariants().ok());
 }
 
+// Two decreases in one timestamp, the first pruning an endpoint of the
+// query's own edge. Lowering Q1-A lowers A and B below Q2, the query's
+// far endpoint, which is pruned; its only key through a settled node
+// then runs back through Q1 (2.1875) and hides the direct reach along the
+// query's edge (1.3125). Measured against 2.1875, B (also 2.1875) stays
+// settled, and the shortcut B-Q2 can no longer lower it.
+//
+//   Q2 --q-- Q1 - A - B - C   (query q 1.3125 from Q2, 0.4375 from Q1;
+//    \______________/          object 0 halfway along B-C)
+TEST(EngineDecreaseTest, ShortcutFromAnEndOfTheQueryEdgeADecreasePruned) {
+  RoadNetwork net;
+  NodeId n[5];
+  for (int i = 0; i < 5; ++i) n[i] = net.AddNode(Point{0.1 * i, 0.0});
+  const NodeId q2 = n[0], q1 = n[1], a = n[2], b = n[3], c = n[4];
+  const EdgeId own = *net.AddEdge(q2, q1, 1.75);
+  const EdgeId q1a = *net.AddEdge(q1, a, 1.0);
+  ASSERT_TRUE(net.AddEdge(a, b, 1.0).ok());
+  const EdgeId bq2 = *net.AddEdge(b, q2, 1.75);
+  const EdgeId bc = *net.AddEdge(b, c, 1.0);
+  ObjectTable objects(net.NumEdges());
+  ASSERT_TRUE(objects.Insert(0, NetworkPoint{bc, 0.5}).ok());
+  ImaEngine engine(&net, &objects);
+  const NetworkPoint query{own, 0.75};
+  ASSERT_TRUE(engine.AddQuery(1, ExpansionSource::AtPoint(query), 1).ok());
+  ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 2.9375, 1e-9);
+
+  engine.ProcessUpdates({}, {EdgeUpdate{q1a, 0.75}, EdgeUpdate{bq2, 0.75}},
+                        {});
+  // q-Q2-B-C: 1.3125 + 0.75 + 0.5.
+  ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 2.5625, 1e-9);
+  testing::ExpectSameDistances(*engine.ResultOf(1),
+                               testing::BruteForceKnn(net, objects, query, 1));
+  EXPECT_TRUE(engine.CheckInvariants().ok());
+}
+
 // Across timestamps. Raising 0-X prunes X while S, kept from a larger
 // bound, stays settled: X is now unsettled yet nearer than S. The next
 // timestamp's shortcut X-S then lowers S, but the non-tree rule bounds the

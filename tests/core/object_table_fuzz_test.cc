@@ -1,8 +1,10 @@
 // Differential fuzz for ObjectTable: random Insert/Move/Remove/Apply
 // sequences — valid and invalid — against a std::map model plus reference
 // per-edge lists maintained with the plain find-and-swap-erase rule. The
-// exact ObjectsOn order is compared, because the engines scan edge lists
-// in that order and byte-identical results depend on it.
+// exact ObjectsOn order is compared after every operation, because the
+// engines scan edge lists in that order and byte-identical results depend
+// on it; so is every list entry's offset, which the engines read instead
+// of the object's position.
 //
 // Runs under the `fuzz` label; seeds via CKNN_FUZZ_SEED, iteration budget
 // via CKNN_FUZZ_SCALE (tests/fuzz_util.h).
@@ -68,7 +70,13 @@ struct Reference {
 };
 
 /// Mostly known edges, sometimes an unknown one.
-NetworkPoint RandomPoint(Rng* rng) {
+NetworkPoint RandomPoint(Rng* rng, const Reference& ref, ObjectId id) {
+  // A third of the draws for a present object stay on its edge, so
+  // same-edge moves (an in-place offset update) are frequent.
+  auto it = ref.positions.find(id);
+  if (it != ref.positions.end() && rng->NextBool(0.33)) {
+    return NetworkPoint{it->second.edge, rng->NextDouble()};
+  }
   const EdgeId edge = rng->NextBool(0.05)
                           ? static_cast<EdgeId>(kNumEdges + rng->NextIndex(3))
                           : static_cast<EdgeId>(rng->NextIndex(kNumEdges));
@@ -79,7 +87,7 @@ NetworkPoint RandomPoint(Rng* rng) {
 void RandomOp(Rng* rng, const std::vector<ObjectId>& ids, ObjectTable* table,
               Reference* ref) {
   const ObjectId id = ids[rng->NextIndex(ids.size())];
-  const NetworkPoint pos = RandomPoint(rng);
+  const NetworkPoint pos = RandomPoint(rng, *ref, id);
   StatusCode expected = StatusCode::kOk;
   Status actual;
   switch (rng->NextIndex(4)) {
@@ -99,7 +107,7 @@ void RandomOp(Rng* rng, const std::vector<ObjectId>& ids, ObjectTable* table,
       // Apply dispatches on which positions are present; the old
       // position's value is not consulted.
       ObjectUpdate u{id, std::nullopt, std::nullopt};
-      if (rng->NextBool(0.6)) u.old_pos = RandomPoint(rng);
+      if (rng->NextBool(0.6)) u.old_pos = RandomPoint(rng, *ref, id);
       if (rng->NextBool(0.6)) u.new_pos = pos;
       if (u.old_pos.has_value() && u.new_pos.has_value()) {
         expected = ref->Move(id, pos);
@@ -114,6 +122,24 @@ void RandomOp(Rng* rng, const std::vector<ObjectId>& ids, ObjectTable* table,
   }
   ASSERT_EQ(actual.code(), expected) << "id " << id << ": "
                                      << actual.ToString();
+}
+
+/// Every edge list holds the reference's ids in the reference's order,
+/// and every entry's offset is its object's current offset.
+void ExpectSameEdgeLists(const ObjectTable& table, const Reference& ref) {
+  for (EdgeId e = 0; e < kNumEdges; ++e) {
+    SCOPED_TRACE("edge " + std::to_string(e));
+    const std::vector<EdgeObject>& list = table.ObjectsOn(e);
+    ASSERT_EQ(list.size(), ref.per_edge[e].size());
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      ASSERT_EQ(list[i].id, ref.per_edge[e][i]) << "index " << i;
+      const NetworkPoint* pos = table.Find(list[i].id);
+      ASSERT_NE(pos, nullptr);
+      ASSERT_EQ(pos->edge, e);
+      ASSERT_EQ(list[i].t(), pos->t) << "id " << list[i].id;
+      ASSERT_EQ(list[i].t(), ref.positions.at(list[i].id).t);
+    }
+  }
 }
 
 /// Every observable of the table matches the reference.
@@ -134,9 +160,7 @@ void ExpectSame(const std::vector<ObjectId>& ids, const ObjectTable& table,
       EXPECT_TRUE(table.Position(id).status().IsNotFound());
     }
   }
-  for (EdgeId e = 0; e < kNumEdges; ++e) {
-    ASSERT_EQ(table.ObjectsOn(e), ref.per_edge[e]) << "edge " << e;
-  }
+  ExpectSameEdgeLists(table, ref);
 }
 
 /// Ids at the edges of the id space, which a sentinel-keyed map would
@@ -168,6 +192,8 @@ TEST(ObjectTableFuzzTest, RandomOperationsMatchTheReference) {
     for (int op = 0; op < ops; ++op) {
       RandomOp(&rng, ids, &table, &ref);
       if (::testing::Test::HasFatalFailure()) return;
+      ExpectSameEdgeLists(table, ref);
+      if (::testing::Test::HasFatalFailure()) return;
       if (op % 50 == 0) {
         ExpectSame(ids, table, ref);
         if (::testing::Test::HasFatalFailure()) return;
@@ -178,6 +204,8 @@ TEST(ObjectTableFuzzTest, RandomOperationsMatchTheReference) {
     // Drain everything: the table must end empty, with empty edge lists.
     for (const ObjectId id : ids) {
       EXPECT_EQ(table.Remove(id).code(), ref.Remove(id));
+      ExpectSameEdgeLists(table, ref);
+      if (::testing::Test::HasFatalFailure()) return;
     }
     ExpectSame(ids, table, ref);
     if (::testing::Test::HasFatalFailure()) return;
@@ -217,7 +245,7 @@ TEST(ObjectTableFuzzTest, MemoryFollowsLiveObjectsForSparseIds) {
       ASSERT_LE(table.MemoryBytes(),
                 base + kPerObjectBound * (table.size() + 1) +
                     // Edge lists keep their peak capacity.
-                    ids.size() * sizeof(ObjectId) * 2);
+                    ids.size() * sizeof(EdgeObject) * 2);
     }
     ExpectSame(ids, table, ref);
     if (::testing::Test::HasFatalFailure()) return;

@@ -39,7 +39,8 @@ TEST(ObjectTableTest, RemoveDetachesFromEdge) {
   ASSERT_TRUE(table.Remove(1).ok());
   EXPECT_FALSE(table.Contains(1));
   EXPECT_EQ(table.ObjectsOn(0).size(), 1u);
-  EXPECT_EQ(table.ObjectsOn(0)[0], 2u);
+  EXPECT_EQ(table.ObjectsOn(0)[0].id, 2u);
+  EXPECT_EQ(table.ObjectsOn(0)[0].t(), 0.9);
   EXPECT_TRUE(table.Remove(1).IsNotFound());
 }
 
@@ -58,6 +59,7 @@ TEST(ObjectTableTest, MoveWithinEdgeKeepsSingleEntry) {
   ASSERT_TRUE(table.Move(5, NetworkPoint{0, 0.6}).ok());
   EXPECT_EQ(table.ObjectsOn(0).size(), 1u);
   EXPECT_DOUBLE_EQ(table.Position(5)->t, 0.6);
+  EXPECT_EQ(table.ObjectsOn(0)[0].t(), 0.6);  // Offset updated in place.
 }
 
 TEST(ObjectTableTest, MoveUnknownRejected) {
@@ -77,7 +79,9 @@ TEST(ObjectTableTest, ManyObjectsPerEdge) {
   auto on_edge = table.ObjectsOn(0);
   EXPECT_EQ(on_edge.size(), 50u);
   EXPECT_TRUE(std::all_of(on_edge.begin(), on_edge.end(),
-                          [](ObjectId id) { return id % 2 == 1; }));
+                          [](const EdgeObject& obj) {
+                            return obj.id % 2 == 1 && obj.t() == obj.id / 100.0;
+                          }));
 }
 
 TEST(ObjectTableTest, MemoryBytesGrows) {

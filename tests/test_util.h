@@ -118,10 +118,10 @@ inline std::vector<Neighbor> BruteForceKnn(const RoadNetwork& net,
                                            int k) {
   std::vector<Neighbor> all;
   for (EdgeId e = 0; e < net.NumEdges(); ++e) {
-    for (ObjectId obj : objects.ObjectsOn(e)) {
-      const NetworkPoint pos = objects.Position(obj).value();
+    for (const EdgeObject& obj : objects.ObjectsOn(e)) {
+      const NetworkPoint pos = objects.Position(obj.id).value();
       const double d = PointToPointDistance(net, query, pos);
-      if (d < kInfDist) all.push_back(Neighbor{obj, d});
+      if (d < kInfDist) all.push_back(Neighbor{obj.id, d});
     }
   }
   std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {

@@ -112,6 +112,17 @@ TEST(MemOracleTest, CandidateSet) {
     cand->KthDist(64);  // Materialize the top array too.
     return cand;
   });
+  // Removals shrink the map's array; the estimate follows it down.
+  ExpectEstimateWithinOracle("CandidateSet after shrinking", [] {
+    auto cand = std::make_unique<CandidateSet>();
+    Rng rng(17);
+    for (ObjectId id = 0; id < 8000; ++id) {
+      cand->Offer(id << 16, rng.NextDouble());
+    }
+    cand->KthDist(64);
+    for (ObjectId id = 0; id < 7700; ++id) cand->Remove(id << 16);
+    return cand;
+  });
 }
 
 TEST(MemOracleTest, ExpansionState) {
