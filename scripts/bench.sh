@@ -63,7 +63,6 @@ figures=(
   fig_pipeline
   fig_serving
   fig_sharding
-  fig_tiling
 )
 
 merge_args=()

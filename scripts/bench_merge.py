@@ -14,8 +14,8 @@ record with the schema
     {figure, algo, sec_per_ts, max_sec, cpu_sec_per_ts, mem_kb, scale, seed}
 
 plus ``name``/``args`` for traceability, and — for figures that report
-counters beyond the standard set (e.g. ``fig_tiling``'s
-``legacy_clone_mem_kb``) — an ``extras`` object carrying every
+counters beyond the standard set (e.g. ``fig_serving``'s
+``updates_per_sec``) — an ``extras`` object carrying every
 non-standard numeric counter verbatim. ``sec_per_ts`` is wall time;
 ``cpu_sec_per_ts`` is process CPU time (all threads), recorded separately
 so sharded/pipelined figures do not conflate the two (null for captures

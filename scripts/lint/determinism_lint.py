@@ -2,8 +2,8 @@
 """Determinism lint: bans result-order-sensitive patterns in the hot tree.
 
 The repo's standing guarantee (docs/trace_format.md, the conformance CTest
-label) is that OVH/IMA/GMA produce byte-identical results under any shard,
-pipeline, and tile configuration.  That guarantee dies quietly when result
+label) is that OVH/IMA/GMA produce byte-identical results under any shard
+and pipeline configuration.  That guarantee dies quietly when result
 paths pick up a dependence on something the language does not order:
 
   unordered-iter   iterating a std::unordered_map / std::unordered_set

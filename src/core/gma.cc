@@ -7,7 +7,7 @@
 
 namespace cknn {
 
-Gma::Gma(RoadNetwork* net, ObjectTable* objects)
+Gma::Gma(RoadNetwork* net, const ObjectTable* objects)
     : net_(net),
       objects_(objects),
       st_(net->SharedSequences()),
@@ -219,7 +219,7 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
   std::unordered_set<QueryId> to_evaluate;
 
   // Fig. 12 line 5: maintain the active-node NN sets with the IMA engine
-  // (this also applies the object/edge updates to the shared tables).
+  // (this also applies the edge updates to this monitor's network view).
   const std::vector<QueryId> changed_nodes =
       engine_.ProcessUpdates(batch.objects, batch.edges, {});
 
@@ -227,10 +227,10 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
   // deletion plus an insertion). Running it after the engine pass means
   // newly activated nodes compute against up-to-date tables. Terminations
   // too: detaching can lower an active node's k, which re-expands the node
-  // against the object table. Before the engine pass, that table may
-  // already hold this timestamp's moves (a server applies them first), so
-  // the node would absorb a change that the engine pass then never
-  // reports to the node's other queries.
+  // against the object table. Before the engine pass, that table already
+  // holds this timestamp's moves (the server applies them first), so the
+  // node would absorb a change that the engine pass then never reports to
+  // the node's other queries.
   // cknn-lint: allow(unordered-iter) batch.queries is a vector (name collision)
   for (const QueryUpdate& qu : batch.queries) {
     switch (qu.kind) {

@@ -51,7 +51,7 @@ class Gma : public Monitor {
   /// GMA monitors over views of the same graph share one table instead of
   /// each building a copy. Both tables must outlive the monitor. The
   /// network topology must not change afterwards (weights may).
-  Gma(RoadNetwork* net, ObjectTable* objects);
+  Gma(RoadNetwork* net, const ObjectTable* objects);
 
   Status ProcessTimestamp(const UpdateBatch& batch) override;
   const std::vector<Neighbor>* ResultOf(QueryId id) const override;
@@ -63,9 +63,6 @@ class Gma : public Monitor {
     return st_->MemoryBytes();
   }
   std::string_view name() const override { return "GMA"; }
-  void set_object_table_externally_applied(bool on) override {
-    engine_.set_external_object_table(on);
-  }
 
   const SequenceTable& sequences() const { return *st_; }
   /// Number of currently active (monitored) intersection nodes.
@@ -120,7 +117,7 @@ class Gma : public Monitor {
   void ClearInfluence(QueryId id, UserQuery* uq);
 
   RoadNetwork* net_;
-  ObjectTable* objects_;
+  const ObjectTable* objects_;
   /// Shared, read-only: the same table instance backs every co-resident
   /// GMA monitor of this graph (cached on the SharedTopology).
   std::shared_ptr<const SequenceTable> st_;

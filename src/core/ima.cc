@@ -8,7 +8,7 @@
 
 namespace cknn {
 
-ImaEngine::ImaEngine(RoadNetwork* net, ObjectTable* objects)
+ImaEngine::ImaEngine(RoadNetwork* net, const ObjectTable* objects)
     : net_(net), objects_(objects), influence_(net->NumEdges()) {
   CKNN_CHECK(net_ != nullptr);
   CKNN_CHECK(objects_ != nullptr);
@@ -361,12 +361,9 @@ void ImaEngine::ApplyObjectUpdate(const ObjectUpdate& update) {
       }
     });
   }
-  // Mutate the shared object table (Fig. 10 line 17) — unless the caller
-  // already did (sharded mode; routing above/below never reads the table,
-  // so the apply point is free to move before the whole batch).
-  if (!external_object_table_) {
-    CKNN_CHECK(objects_->Apply(update).ok());
-  }
+  // Fig. 10 line 17 mutates the object table here. The table's owner has
+  // already applied the whole batch: routing above and below never reads
+  // the table, so the apply point is free to move before the batch.
   if (update.new_pos.has_value()) {
     ForEachInfluenced(update.new_pos->edge, [&](QueryId, Entry* entry) {
       if (entry->needs_recompute) return;

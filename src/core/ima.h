@@ -57,8 +57,10 @@ class ImaEngine {
     std::uint64_t updates_ignored = 0;
   };
 
-  /// Both tables outlive the engine and are mutated by ProcessUpdates.
-  ImaEngine(RoadNetwork* net, ObjectTable* objects);
+  /// Both tables outlive the engine. ProcessUpdates applies edge updates
+  /// to `net`; `objects` is only read — its owner applies a batch's object
+  /// updates before handing the batch to ProcessUpdates.
+  ImaEngine(RoadNetwork* net, const ObjectTable* objects);
 
   ImaEngine(const ImaEngine&) = delete;
   ImaEngine& operator=(const ImaEngine&) = delete;
@@ -127,11 +129,6 @@ class ImaEngine {
   /// per-query probe.
   void set_use_influence_filter(bool on) { use_influence_filter_ = on; }
   /// @}
-
-  /// Shared-table mode (see Monitor::set_object_table_externally_applied):
-  /// on, the engine routes object updates through its structures but does
-  /// not mutate the object table — the caller already applied them.
-  void set_external_object_table(bool on) { external_object_table_ = on; }
 
  private:
   struct Entry {
@@ -213,14 +210,13 @@ class ImaEngine {
   void ForEachInfluenced(EdgeId e, Fn&& fn);
 
   RoadNetwork* net_;
-  ObjectTable* objects_;
+  const ObjectTable* objects_;
   std::unordered_map<QueryId, Entry> entries_;
   /// Influence lists, indexed by edge (the `e.IL` of Section 3).
   std::vector<std::unordered_set<QueryId>> influence_;
   Stats stats_;
   bool use_tree_reuse_ = true;
   bool use_influence_filter_ = true;
-  bool external_object_table_ = false;
 };
 
 /// \brief IMA — the incremental monitoring algorithm (Section 4) as a
@@ -228,7 +224,7 @@ class ImaEngine {
 /// through its own expansion tree and influence lists.
 class Ima : public Monitor {
  public:
-  Ima(RoadNetwork* net, ObjectTable* objects) : engine_(net, objects) {}
+  Ima(RoadNetwork* net, const ObjectTable* objects) : engine_(net, objects) {}
 
   Status ProcessTimestamp(const UpdateBatch& batch) override;
   const std::vector<Neighbor>* ResultOf(QueryId id) const override {
@@ -237,9 +233,6 @@ class Ima : public Monitor {
   std::size_t NumQueries() const override { return engine_.NumQueries(); }
   std::size_t MemoryBytes() const override { return engine_.MemoryBytes(); }
   std::string_view name() const override { return "IMA"; }
-  void set_object_table_externally_applied(bool on) override {
-    engine_.set_external_object_table(on);
-  }
 
   ImaEngine& engine() { return engine_; }
   const ImaEngine& engine() const { return engine_; }

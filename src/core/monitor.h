@@ -33,9 +33,12 @@ inline const char* AlgorithmName(Algorithm algorithm) {
 /// the OVH baseline).
 ///
 /// The monitor owns result maintenance. `ProcessTimestamp` receives the
-/// (pre-aggregated) updates of one timestamp, applies object movements and
-/// edge-weight changes to the shared `ObjectTable` / `RoadNetwork`, and
-/// brings every registered query's result up to date.
+/// (pre-aggregated) updates of one timestamp, applies the edge-weight
+/// changes to its `RoadNetwork` view, and brings every registered query's
+/// result up to date. The monitor only reads the `ObjectTable`: its owner
+/// (the server's apply stage, src/core/server.h) applies the batch's
+/// object updates to it exactly once, before `ProcessTimestamp` runs, and
+/// the monitor routes them through its own maintenance structures.
 class Monitor {
  public:
   virtual ~Monitor() = default;
@@ -70,16 +73,6 @@ class Monitor {
 
   /// Algorithm name for reports ("IMA", "GMA", "OVH").
   virtual std::string_view name() const = 0;
-
-  /// \brief Shared-table mode for sharded deployments (src/core/sharding.h).
-  ///
-  /// When on, the caller applies the batch's *object* updates to the shared
-  /// `ObjectTable` exactly once before `ProcessTimestamp` runs, and the
-  /// monitor must not apply them again — it only routes them through its
-  /// own maintenance structures. Edge-weight updates are still applied by
-  /// the monitor (each shard maintains the weights of its own network
-  /// copy). Off by default: a standalone monitor owns its tables.
-  virtual void set_object_table_externally_applied(bool on) { (void)on; }
 };
 
 }  // namespace cknn

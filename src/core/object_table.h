@@ -72,8 +72,8 @@ class ObjectTable {
   Status Move(ObjectId id, const NetworkPoint& new_pos);
 
   /// Applies one location update: old+new = Move, old only = Remove,
-  /// new only = Insert, neither = no-op. The single dispatch shared by the
-  /// server's table stage and the standalone monitors.
+  /// new only = Insert, neither = no-op. The server's apply stage calls it
+  /// once per folded update; the engines only read the table.
   Status Apply(const ObjectUpdate& update);
 
   /// Current position of an object.

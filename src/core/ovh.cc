@@ -6,13 +6,8 @@
 namespace cknn {
 
 Status Ovh::ProcessTimestamp(const UpdateBatch& batch) {
-  // Apply updates to the shared tables (unless the caller maintains the
-  // object table — sharded mode); no result maintenance state exists.
-  if (!external_object_table_) {
-    for (const ObjectUpdate& u : batch.objects) {
-      CKNN_RETURN_NOT_OK(objects_->Apply(u));
-    }
-  }
+  // Apply edge updates to this view's weights; the object table already
+  // holds the batch's object updates. No result maintenance state exists.
   for (const EdgeUpdate& u : batch.edges) {
     CKNN_RETURN_NOT_OK(net_->SetWeight(u.edge, u.new_weight));
   }

@@ -19,7 +19,8 @@ namespace cknn {
 /// how few updates actually matter.
 class Ovh : public Monitor {
  public:
-  Ovh(RoadNetwork* net, ObjectTable* objects) : net_(net), objects_(objects) {
+  Ovh(RoadNetwork* net, const ObjectTable* objects)
+      : net_(net), objects_(objects) {
     net_->BuildAdjacencyIndex();  // SnapshotKnn iterates the CSR view.
   }
 
@@ -28,9 +29,6 @@ class Ovh : public Monitor {
   std::size_t NumQueries() const override { return queries_.size(); }
   std::size_t MemoryBytes() const override;
   std::string_view name() const override { return "OVH"; }
-  void set_object_table_externally_applied(bool on) override {
-    external_object_table_ = on;
-  }
 
  private:
   struct UserQuery {
@@ -40,11 +38,10 @@ class Ovh : public Monitor {
   };
 
   RoadNetwork* net_;
-  ObjectTable* objects_;
+  const ObjectTable* objects_;
   std::unordered_map<QueryId, UserQuery> queries_;
   /// Reused across queries and timestamps (cleared per search).
   KnnScratch scratch_;
-  bool external_object_table_ = false;
 };
 
 }  // namespace cknn

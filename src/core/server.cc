@@ -292,29 +292,14 @@ UpdateBatch Fold(const UpdateBatch& batch, const GroupedBatch& groups) {
 
 }  // namespace
 
-namespace {
-
-/// Partitions the primary network's weight store before the shard set is
-/// built, so every shard view inherits the tile partition (mem-init-list
-/// helper: `shards_` is constructed right after).
-RoadNetwork* RetiledPrimary(RoadNetwork* network, int num_tiles) {
-  CKNN_CHECK(num_tiles >= 1);
-  network->Retile(num_tiles);
-  return network;
-}
-
-}  // namespace
-
 MonitoringServer::MonitoringServer(RoadNetwork network, Algorithm algorithm,
-                                   int num_shards, int pipeline_depth,
-                                   int num_tiles)
+                                   int num_shards, int pipeline_depth)
     : network_(std::move(network)),
       objects_(network_.NumEdges()),
       spatial_index_(BuildSpatialIndex(network_)),
       algorithm_(algorithm),
       pipeline_depth_(pipeline_depth),
-      shards_(RetiledPrimary(&network_, num_tiles), &objects_, algorithm,
-              num_shards) {
+      shards_(&network_, &objects_, algorithm, num_shards) {
   CKNN_CHECK(pipeline_depth >= 1 && pipeline_depth <= 2);
 }
 
@@ -367,8 +352,8 @@ Result<UpdateBatch> MonitoringServer::Prepare(const UpdateBatch& batch) const {
 }
 
 void MonitoringServer::ApplyObjectUpdates(const UpdateBatch& aggregated) {
-  // Stage 3: apply object updates to the shared table exactly once. The
-  // shards run in shared-table mode and only route these updates through
+  // Stage 3: apply object updates to the shared table exactly once — the
+  // table's only writer. The shards only route these updates through
   // their maintenance structures; during the parallel phase the table is
   // read-only.
   for (const ObjectUpdate& u : aggregated.objects) {

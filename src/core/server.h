@@ -81,13 +81,9 @@ class MonitoringServer {
   /// lifetime of the server; weights change through edge updates.
   /// `num_shards >= 1` selects the worker-shard count (1 = serial);
   /// `pipeline_depth` in {1, 2} selects synchronous ticks or
-  /// double-buffered asynchronous ingest; `num_tiles >= 1` partitions the
-  /// weight storage into region tiles (1 = the flat monolithic layout;
-  /// docs/tiling.md). Like shards and pipelining, tiling is an execution
-  /// detail: results are identical at every tile count.
+  /// double-buffered asynchronous ingest.
   MonitoringServer(RoadNetwork network, Algorithm algorithm,
-                   int num_shards = 1, int pipeline_depth = 1,
-                   int num_tiles = 1);
+                   int num_shards = 1, int pipeline_depth = 1);
 
   MonitoringServer(const MonitoringServer&) = delete;
   MonitoringServer& operator=(const MonitoringServer&) = delete;
@@ -164,7 +160,6 @@ class MonitoringServer {
   const Monitor& monitor() const { return shards_.monitor(0); }
 
   int num_shards() const { return shards_.num_shards(); }
-  int num_tiles() const { return network_.num_tiles(); }
   ShardSet& shards() { return shards_; }
   const ShardSet& shards() const { return shards_; }
 

@@ -13,7 +13,7 @@ namespace cknn {
 namespace {
 
 std::unique_ptr<Monitor> MakeMonitor(Algorithm algorithm, RoadNetwork* net,
-                                     ObjectTable* objects) {
+                                     const ObjectTable* objects) {
   switch (algorithm) {
     case Algorithm::kIma:
       return std::make_unique<Ima>(net, objects);
@@ -28,7 +28,7 @@ std::unique_ptr<Monitor> MakeMonitor(Algorithm algorithm, RoadNetwork* net,
 
 }  // namespace
 
-ShardSet::ShardSet(RoadNetwork* primary_network, ObjectTable* objects,
+ShardSet::ShardSet(RoadNetwork* primary_network, const ObjectTable* objects,
                    Algorithm algorithm, int num_shards)
     : pool_(num_shards) {
   CKNN_CHECK(primary_network != nullptr);
@@ -43,15 +43,14 @@ ShardSet::ShardSet(RoadNetwork* primary_network, ObjectTable* objects,
     Shard& shard = shards_[static_cast<std::size_t>(s)];
     RoadNetwork* net = primary_network;
     if (s > 0) {
-      // A shared-topology view, not a clone: the immutable topology (and
-      // tile partition) is referenced, only the dynamic weights are
-      // per-shard — O(8 bytes/edge) instead of O(network) per shard.
+      // A shared-topology view, not a clone: the immutable topology is
+      // referenced, only the dynamic weights are per-shard — 8 bytes/edge
+      // instead of O(network) per shard.
       shard.network =
           std::make_unique<RoadNetwork>(primary_network->SharedView());
       net = shard.network.get();
     }
     shard.monitor = MakeMonitor(algorithm, net, objects);
-    shard.monitor->set_object_table_externally_applied(true);
   }
 }
 

@@ -27,15 +27,14 @@ namespace cknn {
 /// engine (IMA, GMA, or OVH) for its queries over
 ///  * the *shared* object table — mutated exactly once per tick by the
 ///    server before the shards run, read-only during the parallel phase
-///    (the engines run in shared-table mode,
-///    `Monitor::set_object_table_externally_applied`), and
+///    (engines never write it, see `Monitor`), and
 ///  * its *own view* of the road network (`RoadNetwork::SharedView`):
 ///    the immutable topology is shared by pointer across all shards,
-///    each shard holds only a private weight overlay (optionally
-///    partitioned into region tiles, docs/tiling.md) and applies every
-///    edge-weight update to it — so all views carry identical weights at
-///    every timestamp without cross-shard synchronization, at
-///    O(8 bytes/edge) per extra shard instead of a full clone.
+///    each shard holds only a private flat weight vector
+///    (docs/network_views.md) and applies every edge-weight update to it
+///    — so all views carry identical weights at every timestamp without
+///    cross-shard synchronization, at 8 bytes/edge per extra shard
+///    instead of a full clone.
 ///    Shard 0 monitors the server's primary network in place.
 ///
 /// Per tick the server aggregates the batch once, `Partition` fans the
@@ -55,12 +54,11 @@ class ShardSet {
  public:
   /// \param primary_network the server's network; shard 0 monitors it in
   ///        place, shards 1..N-1 monitor their own shared-topology views
-  ///        of it (inheriting its tile partition). Must outlive the
-  ///        shard set.
+  ///        of it. Must outlive the shard set.
   /// \param objects the shared object table, mutated only by the caller
   ///        (between ticks, before BeginProcessTimestamp). Must outlive
   ///        the shard set.
-  ShardSet(RoadNetwork* primary_network, ObjectTable* objects,
+  ShardSet(RoadNetwork* primary_network, const ObjectTable* objects,
            Algorithm algorithm, int num_shards);
 
   ShardSet(const ShardSet&) = delete;

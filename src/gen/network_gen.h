@@ -40,9 +40,6 @@ RoadNetwork GenerateRoadNetwork(const NetworkGenConfig& config);
 /// (6105 nodes / 7035 edges).
 RoadNetwork GenerateOldenburgLike(std::uint64_t seed);
 
-// CloneNetwork lives in src/graph/road_network.h (pulled in above); it
-// used to be declared here.
-
 }  // namespace cknn
 
 #endif  // CKNN_GEN_NETWORK_GEN_H_

@@ -1,7 +1,6 @@
 #include "src/graph/road_network.h"
 
 #include <mutex>
-#include <utility>
 
 #include "src/graph/sequences.h"
 #include "src/util/macros.h"
@@ -15,7 +14,6 @@ SharedTopology& RoadNetwork::MutableTopo() {
   // Topology mutation is only legal while this view is the sole owner —
   // a SharedView freezes the graph structure for everyone.
   CKNN_CHECK(topo_.use_count() == 1);
-  CKNN_CHECK(weights_.partition() == nullptr);
   return *topo_;
 }
 
@@ -44,7 +42,7 @@ Result<EdgeId> RoadNetwork::AddEdge(NodeId u, NodeId v,
   }
   const EdgeId id = static_cast<EdgeId>(topo.edges_.size());
   topo.edges_.push_back(SharedTopology::EdgeTopo{u, v, length});
-  weights_.PushBack(length);
+  weights_.push_back(length);
   topo.csr_valid_ = false;
   return id;
 }
@@ -57,12 +55,12 @@ const Point& RoadNetwork::NodePosition(NodeId n) const {
 RoadNetwork::Edge RoadNetwork::edge(EdgeId e) const {
   CKNN_CHECK(e < NumEdges());
   const SharedTopology::EdgeTopo& t = topo_->edge(e);
-  return Edge{t.u, t.v, t.length, weights_.Get(e)};
+  return Edge{t.u, t.v, t.length, weights_[e]};
 }
 
 double RoadNetwork::WeightOf(EdgeId e) const {
   CKNN_CHECK(e < NumEdges());
-  return weights_.Get(e);
+  return weights_[e];
 }
 
 double RoadNetwork::LengthOf(EdgeId e) const {
@@ -95,7 +93,7 @@ Status RoadNetwork::SetWeight(EdgeId e, double weight) {
   if (weight < 0.0) {
     return Status::InvalidArgument("edge weight must be non-negative");
   }
-  weights_.Set(e, weight);
+  weights_[e] = weight;
   return Status::OK();
 }
 
@@ -115,18 +113,8 @@ double RoadNetwork::AverageEdgeLength() const {
 RoadNetwork RoadNetwork::SharedView() const {
   RoadNetwork view;
   view.topo_ = topo_;
-  view.weights_ = weights_;  // Independent overlay, shared partition.
+  view.weights_ = weights_;  // Independent overlay.
   return view;
-}
-
-void RoadNetwork::Retile(int num_tiles) {
-  CKNN_CHECK(num_tiles >= 1);
-  if (num_tiles == 1) {
-    weights_.Retile(nullptr);
-    return;
-  }
-  CKNN_CHECK(topo_ != nullptr);
-  weights_.Retile(TilePartition::Build(*topo_, num_tiles));
 }
 
 std::shared_ptr<const SequenceTable> RoadNetwork::SharedSequences() const {
@@ -147,28 +135,7 @@ std::size_t RoadNetwork::MemoryBytes() const {
 }
 
 std::size_t RoadNetwork::SharedMemoryBytes() const {
-  std::size_t bytes = topo_ ? topo_->MemoryBytes() : 0;
-  if (const TilePartition* p = weights_.partition()) {
-    bytes += p->MemoryBytes();
-  }
-  return bytes;
-}
-
-RoadNetwork CloneNetwork(const RoadNetwork& net) {
-  RoadNetwork out;
-  for (NodeId n = 0; n < net.NumNodes(); ++n) {
-    out.AddNode(net.NodePosition(n));
-  }
-  for (EdgeId e = 0; e < net.NumEdges(); ++e) {
-    const RoadNetwork::Edge ed = net.edge(e);
-    auto added = out.AddEdge(ed.u, ed.v, ed.length);
-    CKNN_CHECK(added.ok());
-    CKNN_CHECK(out.SetWeight(*added, ed.weight).ok());
-  }
-  // Deep copies are still handed across threads by a few tests; build the
-  // adjacency index while the copy is private to this thread.
-  out.BuildAdjacencyIndex();
-  return out;
+  return topo_ ? topo_->MemoryBytes() : 0;
 }
 
 }  // namespace cknn

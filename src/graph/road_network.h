@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/geom/geometry.h"
-#include "src/graph/tiling.h"
 #include "src/graph/topology.h"
 #include "src/graph/types.h"
 #include "src/util/result.h"
@@ -26,19 +25,20 @@ class SequenceTable;
 ///  * `weight` — the dynamic travel cost that fluctuates with traffic and
 ///    defines the network distance metric.
 ///
-/// Internally the network is a *view* over two layers (docs/tiling.md):
+/// Internally the network is a *view* over two layers
+/// (docs/network_views.md):
 ///  * an immutable `SharedTopology` (geometry + CSR adjacency), held by
 ///    `shared_ptr` and referenced — never copied — by every view of the
 ///    same graph;
-///  * a mutable `TiledWeightStore` of the dynamic weights, private to the
-///    view, optionally partitioned into region tiles (`Retile`).
+///  * one flat vector of the dynamic weights, indexed by edge id and
+///    private to the view.
 ///
 /// `SharedView()` creates another view of the same topology with an
-/// independent copy of the weights — O(8 bytes/edge) instead of a full
+/// independent copy of the weights — 8 bytes/edge instead of a full
 /// clone — which is how the sharded server, the lockstep conformance
 /// harness, and the Brinkhoff generator get their per-consumer weight
 /// state. Topology mutation (AddNode/AddEdge) is only legal while no
-/// other view shares the topology and the weights are untiled.
+/// other view shares the topology.
 ///
 /// The *edge table* information of the paper (per-edge object lists and
 /// influence lists) lives next to the algorithms (`ObjectTable`, the IMA
@@ -66,8 +66,7 @@ class RoadNetwork {
   RoadNetwork& operator=(RoadNetwork&&) = default;
 
   /// Adds a node at the given coordinates; returns its id. Requires
-  /// exclusive topology ownership (no live SharedView) and untiled
-  /// weights.
+  /// exclusive topology ownership (no live SharedView).
   NodeId AddNode(const Point& position);
 
   /// Adds a bidirectional edge. The weight is initialized to the Euclidean
@@ -84,8 +83,7 @@ class RoadNetwork {
   /// Snapshot of edge `e` (topology + current weight), by value.
   Edge edge(EdgeId e) const;
 
-  /// Current dynamic weight of edge `e` — the expansion hot-path read;
-  /// routed through the owning tile when the view is tiled.
+  /// Current dynamic weight of edge `e` — the expansion hot-path read.
   double WeightOf(EdgeId e) const;
 
   /// Static geometric length of edge `e`.
@@ -118,10 +116,8 @@ class RoadNetwork {
   /// True iff `n` is an endpoint of `e`.
   bool IsEndpoint(EdgeId e, NodeId n) const;
 
-  /// Updates the dynamic weight of an edge. Returns InvalidArgument for
-  /// negative weights, NotFound for an unknown edge. When the view is
-  /// tiled the write is routed to the owning tile's slot and mirrored
-  /// into the ghost slot of a border edge (docs/tiling.md).
+  /// Updates the dynamic weight of an edge in this view only. Returns
+  /// InvalidArgument for negative weights, NotFound for an unknown edge.
   Status SetWeight(EdgeId e, double weight);
 
   /// Geometry of an edge as a segment from u to v.
@@ -133,29 +129,13 @@ class RoadNetwork {
   /// Average edge *length* — the unit for the paper's object/query speeds.
   double AverageEdgeLength() const;
 
-  /// \name Shared-topology views and weight tiling
+  /// \name Shared-topology views
   /// @{
 
-  /// A new view of the same graph: shares the immutable topology (and
-  /// tile partition) by pointer, copies the dynamic weights — the
-  /// per-shard "weight overlay" that replaced whole-network clones. The
-  /// shared topology stays alive as long as any view does.
+  /// A new view of the same graph: shares the immutable topology by
+  /// pointer, copies the dynamic weights — the per-shard "weight
+  /// overlay". The shared topology stays alive as long as any view does.
   RoadNetwork SharedView() const;
-
-  /// Re-partitions the weight storage into `num_tiles` region tiles
-  /// (1 = the flat monolithic layout). Current weights are preserved
-  /// exactly; results are byte-identical at every tile count. Views
-  /// created by SharedView() afterwards inherit the partition.
-  void Retile(int num_tiles);
-
-  /// Tile count of the weight store (1 = flat).
-  int num_tiles() const {
-    const TilePartition* p = weights_.partition();
-    return p == nullptr ? 1 : p->num_tiles();
-  }
-
-  /// The tile partition; nullptr when flat.
-  const TilePartition* partition() const { return weights_.partition(); }
 
   /// The shared immutable topology (null only for a default-constructed
   /// empty network).
@@ -166,9 +146,6 @@ class RoadNetwork {
     return topo_ != nullptr && topo_ == other.topo_;
   }
 
-  /// The per-view weight store (tile-local reads for tests).
-  const TiledWeightStore& weights() const { return weights_; }
-
   /// GMA's sequence decomposition (Section 5's ST), built once per graph
   /// and cached on the shared topology — every view of the same graph
   /// returns the same table, so co-resident GMA shards stop duplicating
@@ -177,17 +154,19 @@ class RoadNetwork {
 
   /// @}
 
-  /// Estimated heap footprint in bytes: shared layers (topology, tile
-  /// partition) plus this view's weights. The full cost of a graph with
-  /// one view; for extra views count only OverlayMemoryBytes().
+  /// Estimated heap footprint in bytes: the shared topology plus this
+  /// view's weights. The full cost of a graph with one view; for extra
+  /// views count only OverlayMemoryBytes().
   std::size_t MemoryBytes() const;
 
-  /// Bytes of the shared, counted-once layers (topology + partition).
+  /// Bytes of the shared, counted-once topology.
   std::size_t SharedMemoryBytes() const;
 
   /// Bytes private to this view (the weight overlay) — the true
   /// incremental cost of each additional SharedView.
-  std::size_t OverlayMemoryBytes() const { return weights_.MemoryBytes(); }
+  std::size_t OverlayMemoryBytes() const {
+    return weights_.capacity() * sizeof(double);
+  }
 
  private:
   /// The topology, created lazily on first mutation so that empty and
@@ -195,17 +174,9 @@ class RoadNetwork {
   SharedTopology& MutableTopo();
 
   std::shared_ptr<SharedTopology> topo_;
-  TiledWeightStore weights_;
+  /// Dynamic weight of each edge, indexed by edge id.
+  std::vector<double> weights_;
 };
-
-/// Deep copy of a network, including its current dynamic weights.
-///
-/// \deprecated This is the pre-tiling whole-network clone: it duplicates
-/// the immutable topology, which `RoadNetwork::SharedView()` shares for
-/// free (see `SharedTopology`, docs/tiling.md). Kept as a compatibility
-/// shim for tests that need a topologically independent copy; new code
-/// should use `SharedView()`.
-RoadNetwork CloneNetwork(const RoadNetwork& net);
 
 }  // namespace cknn
 

@@ -21,9 +21,10 @@ class SequenceTable;
 /// A `SharedTopology` is held by `shared_ptr` and referenced by every
 /// `RoadNetwork` view of the same graph (the sharded server's per-shard
 /// views, the lockstep conformance servers, the Brinkhoff generator's
-/// private routing network). Only the *dynamic weights* are per-view
-/// (`TiledWeightStore` in src/graph/tiling.h); the topology exists once
-/// per graph regardless of how many shards or servers reference it.
+/// private routing network). Only the *dynamic weights* are per-view (one
+/// flat vector in each `RoadNetwork`, docs/network_views.md); the topology
+/// exists once per graph regardless of how many shards or servers
+/// reference it.
 ///
 /// Mutation protocol: `RoadNetwork::AddNode`/`AddEdge` mutate the topology
 /// only while their facade is the sole owner (`use_count() == 1`); once a

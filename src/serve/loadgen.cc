@@ -121,7 +121,7 @@ Result<LoadScenarioReport> RunLoadScenario(const LoadScenarioConfig& config) {
 
   MonitoringServer server(GenerateRoadNetwork(config.network),
                           config.algorithm, config.shards,
-                          config.pipeline_depth, config.tiles);
+                          config.pipeline_depth);
   WorkloadConfig wconfig;
   wconfig.num_objects = config.num_objects;
   wconfig.num_queries = config.num_queries;

@@ -27,7 +27,6 @@ struct LoadScenarioConfig {
   Algorithm algorithm = Algorithm::kIma;
   int shards = 1;
   int pipeline_depth = 2;
-  int tiles = 1;
   int producers = 4;
   /// Timed submission windows ("bursts").
   int bursts = 8;

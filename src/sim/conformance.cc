@@ -127,14 +127,14 @@ Result<ConformanceReport> RunLockstep(
 
 std::vector<std::unique_ptr<MonitoringServer>> BuildLockstepServers(
     const RoadNetwork& network, const std::vector<Algorithm>& algorithms,
-    int shards, int pipeline_depth, int tiles) {
+    int shards, int pipeline_depth) {
   std::vector<std::unique_ptr<MonitoringServer>> servers;
   servers.reserve(algorithms.size());
   for (const Algorithm algo : algorithms) {
     // Shared-topology views: every lockstep server references one
     // immutable topology and keeps only a private weight overlay.
     servers.push_back(std::make_unique<MonitoringServer>(
-        network.SharedView(), algo, shards, pipeline_depth, tiles));
+        network.SharedView(), algo, shards, pipeline_depth));
   }
   return servers;
 }
@@ -147,7 +147,7 @@ Result<ConformanceReport> CheckTraceConformance(
   }
   const std::vector<std::unique_ptr<MonitoringServer>> servers =
       BuildLockstepServers(trace.network, options.algorithms, options.shards,
-                           options.pipeline_depth, options.tiles);
+                           options.pipeline_depth);
   std::vector<MonitoringServer*> ptrs;
   ptrs.reserve(servers.size());
   for (const auto& server : servers) ptrs.push_back(server.get());

@@ -29,9 +29,6 @@ struct ConformanceOptions {
   /// synchronous ticks, 2 = asynchronous ingest; the lockstep loop drains
   /// after every tick, so the comparison stays per-timestamp).
   int pipeline_depth = 1;
-  /// Weight-storage region tiles of every server built for the check
-  /// (1 = flat; docs/tiling.md). An execution detail like `shards`.
-  int tiles = 1;
 };
 
 /// \brief First point where two algorithms disagreed.
@@ -58,7 +55,7 @@ struct ConformanceReport {
 /// \brief Replays one batch stream through several pre-built servers in
 /// lockstep and compares every live query's k-NN set after each tick.
 ///
-/// All servers must be built on views (or clones) of the same network. Stops at the
+/// All servers must be built on views of the same network. Stops at the
 /// first divergence. `steps` bounds the number of `Step()` calls after
 /// `Initial()`. Infrastructure failures (a server rejecting a batch) are
 /// reported as error Status, divergences through the report.
@@ -71,13 +68,12 @@ Result<ConformanceReport> RunLockstep(
     int steps, double tolerance);
 
 /// Builds one monitoring server per algorithm (each with `shards` worker
-/// shards, `pipeline_depth` ingest depth, and `tiles` weight tiles), each
-/// on its own shared-topology view of `network` — the lockstep setup
-/// shared by `CheckTraceConformance` and the CLI's generated-conformance
-/// mode.
+/// shards and `pipeline_depth` ingest depth), each on its own
+/// shared-topology view of `network` — the lockstep setup shared by
+/// `CheckTraceConformance` and the CLI's generated-conformance mode.
 std::vector<std::unique_ptr<MonitoringServer>> BuildLockstepServers(
     const RoadNetwork& network, const std::vector<Algorithm>& algorithms,
-    int shards = 1, int pipeline_depth = 1, int tiles = 1);
+    int shards = 1, int pipeline_depth = 1);
 
 /// \brief The differential oracle of this repo: replays `trace` through
 /// every algorithm in `options.algorithms` and asserts per-timestamp

@@ -12,7 +12,7 @@ namespace cknn {
 RunMetrics RunExperiment(Algorithm algorithm, const ExperimentSpec& spec) {
   RoadNetwork net = GenerateRoadNetwork(spec.network);
   MonitoringServer server(std::move(net), algorithm, spec.shards,
-                          spec.pipeline_depth, spec.tiles);
+                          spec.pipeline_depth);
   Workload workload(&server.network(), &server.spatial_index(),
                     spec.workload);
   SimulationOptions options;
@@ -25,9 +25,9 @@ RunMetrics RunBrinkhoffExperiment(Algorithm algorithm,
                                   const RoadNetwork& base_network,
                                   const BrinkhoffWorkload::Config& config,
                                   int timestamps, int shards,
-                                  int pipeline_depth, int tiles) {
+                                  int pipeline_depth) {
   MonitoringServer server(base_network.SharedView(), algorithm, shards,
-                          pipeline_depth, tiles);
+                          pipeline_depth);
   BrinkhoffWorkload workload(&server.network(), config);
   SimulationOptions options;
   options.timestamps = timestamps;
@@ -77,7 +77,7 @@ Result<RunMetrics> RunRecordedExperiment(Algorithm algorithm,
                                          const std::string& trace_path) {
   RoadNetwork net = GenerateRoadNetwork(spec.network);
   MonitoringServer server(std::move(net), algorithm, spec.shards,
-                          spec.pipeline_depth, spec.tiles);
+                          spec.pipeline_depth);
   Result<TraceWriter> writer = TraceWriter::Open(
       trace_path, ExperimentTraceMeta(spec), server.network());
   if (!writer.ok()) return writer.status();
@@ -95,9 +95,9 @@ Result<RunMetrics> RunRecordedExperiment(Algorithm algorithm,
 
 Result<RunMetrics> RunTraceReplay(Algorithm algorithm, const Trace& trace,
                                   bool measure_memory, int shards,
-                                  int pipeline_depth, int tiles) {
+                                  int pipeline_depth) {
   MonitoringServer server(trace.network.SharedView(), algorithm, shards,
-                          pipeline_depth, tiles);
+                          pipeline_depth);
   TraceWorkloadSource source(&trace);
   {
     const Status st = server.Tick(source.Initial());

@@ -30,10 +30,6 @@ struct ExperimentSpec {
   /// ticks, 2 = double-buffered asynchronous ingest; docs/pipeline.md).
   /// Like `shards`, an execution detail: results are identical.
   int pipeline_depth = 1;
-  /// Region tiles of the weight storage (1 = flat monolithic layout;
-  /// docs/tiling.md). Like `shards`, an execution detail: results are
-  /// identical at every tile count.
-  int tiles = 1;
 };
 
 /// Runs one algorithm on one spec and returns its run metrics.
@@ -46,7 +42,7 @@ RunMetrics RunBrinkhoffExperiment(Algorithm algorithm,
                                   const RoadNetwork& base_network,
                                   const BrinkhoffWorkload::Config& config,
                                   int timestamps, int shards = 1,
-                                  int pipeline_depth = 1, int tiles = 1);
+                                  int pipeline_depth = 1);
 
 /// Self-describing trace-header metadata for a spec: everything needed to
 /// regenerate the workload from scratch (the network itself is embedded in
@@ -71,7 +67,7 @@ Result<RunMetrics> RunRecordedExperiment(Algorithm algorithm,
 /// the server maintains the current one.
 Result<RunMetrics> RunTraceReplay(Algorithm algorithm, const Trace& trace,
                                   bool measure_memory, int shards = 1,
-                                  int pipeline_depth = 1, int tiles = 1);
+                                  int pipeline_depth = 1);
 
 /// \brief Paper-style series table: one row per x-value, one column per
 /// series (typically OVH / IMA / GMA), printed as an aligned text table.

@@ -31,7 +31,7 @@ struct TraceMeta {
 ///
 /// `batches[0]` is the initial tick (object appearances and query
 /// installations); every later entry is one timestamp of updates. Replaying
-/// the batches against a server built on a clone of `network` reproduces
+/// the batches against a server built on a view of `network` reproduces
 /// the recorded run bit-for-bit, for any monitoring algorithm — the
 /// foundation of the cross-algorithm conformance checker.
 struct Trace {

@@ -44,6 +44,14 @@ class EngineScenarioTest : public ::testing::Test {
     engine_->ProcessUpdates({}, edges, {});
   }
 
+  /// One tick of object updates in the server's order: the table first,
+  /// then the engine.
+  std::vector<QueryId> ProcessObjects(
+      const std::vector<ObjectUpdate>& updates) {
+    EXPECT_TRUE(testing::ApplyObjectUpdates(updates, objects_.get()).ok());
+    return engine_->ProcessUpdates(updates, {}, {});
+  }
+
   void ExpectResultMatchesOracle(QueryId q, const NetworkPoint& pos,
                                  int k) {
     const auto want = testing::BruteForceKnn(net_, *objects_, pos, k);
@@ -156,7 +164,7 @@ TEST_F(EngineScenarioTest, OutgoingNeighborTriggersFrontierGrowth) {
   // The nearest neighbor departs: the expansion must grow to find obj 1.
   std::vector<ObjectUpdate> updates{
       ObjectUpdate{0, NetworkPoint{e01_, 0.5}, std::nullopt}};
-  const auto changed = engine_->ProcessUpdates(updates, {}, {});
+  const auto changed = ProcessObjects(updates);
   EXPECT_EQ(changed.size(), 1u);
   EXPECT_EQ((*engine_->ResultOf(1))[0].id, 1u);
   ExpectResultMatchesOracle(1, NetworkPoint{e01_, 0.4}, 1);
@@ -169,7 +177,7 @@ TEST_F(EngineScenarioTest, IncomingNeighborShrinksBound) {
   const double bound_before = engine_->BoundOf(1);
   std::vector<ObjectUpdate> updates{
       ObjectUpdate{1, std::nullopt, NetworkPoint{e01_, 0.6}}};
-  engine_->ProcessUpdates(updates, {}, {});
+  ProcessObjects(updates);
   EXPECT_LT(engine_->BoundOf(1), bound_before);
   EXPECT_EQ((*engine_->ResultOf(1))[0].id, 1u);
   ExpectResultMatchesOracle(1, NetworkPoint{e01_, 0.5}, 1);
@@ -184,7 +192,7 @@ TEST_F(EngineScenarioTest, LazyShrinkReleasesCoverageEventually) {
   ASSERT_TRUE(engine_->InfluenceOf(e34_).count(1) == 1);
   std::vector<ObjectUpdate> updates{
       ObjectUpdate{1, std::nullopt, NetworkPoint{e01_, 0.2}}};
-  engine_->ProcessUpdates(updates, {}, {});
+  ProcessObjects(updates);
   // The far edge must no longer influence the query after the shrink.
   EXPECT_EQ(engine_->InfluenceOf(e34_).count(1), 0u);
   ASSERT_TRUE(engine_->CheckInvariants().ok());
@@ -198,7 +206,7 @@ TEST_F(EngineScenarioTest, IgnoredUpdateDoesNotChangeResult) {
   // Far object wiggles within its own edge, far outside the bound.
   std::vector<ObjectUpdate> updates{ObjectUpdate{
       1, NetworkPoint{e34_, 0.5}, NetworkPoint{e34_, 0.6}}};
-  const auto changed = engine_->ProcessUpdates(updates, {}, {});
+  const auto changed = ProcessObjects(updates);
   EXPECT_TRUE(changed.empty());
 }
 
@@ -216,7 +224,7 @@ TEST_F(EngineScenarioTest, ChangedQueriesReturnedSortedById) {
   // Moving the only object changes every query's result.
   std::vector<ObjectUpdate> updates{
       ObjectUpdate{0, NetworkPoint{e12_, 0.5}, NetworkPoint{e12_, 0.05}}};
-  const auto changed = engine_->ProcessUpdates(updates, {}, {});
+  const auto changed = ProcessObjects(updates);
   ASSERT_GE(changed.size(), 2u);
   EXPECT_TRUE(std::is_sorted(changed.begin(), changed.end()));
   EXPECT_TRUE(std::adjacent_find(changed.begin(), changed.end()) ==
@@ -338,11 +346,14 @@ TEST(EngineDecreaseTest, ShortcutToANodeKeptBeyondTheFrontier) {
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 12.5, 1e-9);
 
   const NetworkPoint near_pos{op, 0.5};
-  engine.ProcessUpdates({ObjectUpdate{1, std::nullopt, near_pos}},
-                        {EdgeUpdate{ox, 11.5}}, {});
+  const ObjectUpdate arrive{1, std::nullopt, near_pos};
+  ASSERT_TRUE(testing::ApplyObjectUpdates({arrive}, &objects).ok());
+  engine.ProcessUpdates({arrive}, {EdgeUpdate{ox, 11.5}}, {});
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 10.0, 1e-9);
   engine.ProcessUpdates({}, {EdgeUpdate{xs, 0.1}}, {});
-  engine.ProcessUpdates({ObjectUpdate{1, near_pos, std::nullopt}}, {}, {});
+  const ObjectUpdate depart{1, near_pos, std::nullopt};
+  ASSERT_TRUE(testing::ApplyObjectUpdates({depart}, &objects).ok());
+  engine.ProcessUpdates({depart}, {}, {});
   // 0-X-S: 11.5 + 0.1.
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 11.6, 1e-9);
   testing::ExpectSameDistances(*engine.ResultOf(1),

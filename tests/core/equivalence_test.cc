@@ -135,7 +135,7 @@ TEST_P(BrinkhoffEquivalenceTest, AllAlgorithmsAgree) {
   std::unique_ptr<BrinkhoffWorkload> workloads[3];
   for (int i = 0; i < 3; ++i) {
     servers[i] =
-        std::make_unique<MonitoringServer>(CloneNetwork(base), algos[i]);
+        std::make_unique<MonitoringServer>(base.SharedView(), algos[i]);
     workloads[i] =
         std::make_unique<BrinkhoffWorkload>(&servers[i]->network(), cfg);
     ASSERT_TRUE(servers[i]->Tick(workloads[i]->Initial()).ok());
@@ -175,9 +175,9 @@ TEST(AblationEquivalenceTest, DisabledReuseAndFilteringStayCorrect) {
   wl.k = 4;
   wl.seed = 99;
 
-  MonitoringServer ovh(CloneNetwork(base), Algorithm::kOvh);
-  MonitoringServer ima_plain(CloneNetwork(base), Algorithm::kIma);
-  MonitoringServer ima_noreuse(CloneNetwork(base), Algorithm::kIma);
+  MonitoringServer ovh(base.SharedView(), Algorithm::kOvh);
+  MonitoringServer ima_plain(base.SharedView(), Algorithm::kIma);
+  MonitoringServer ima_noreuse(base.SharedView(), Algorithm::kIma);
   MonitoringServer ima_nofilter(std::move(base), Algorithm::kIma);
   dynamic_cast<Ima&>(ima_noreuse.monitor()).engine().set_use_tree_reuse(false);
   dynamic_cast<Ima&>(ima_nofilter.monitor())

@@ -38,7 +38,10 @@ class GmaFilteringTest : public ::testing::Test {
     gma_ = std::make_unique<Gma>(&net_, objects_.get());
   }
 
+  /// One server tick: the object table first, then the monitor.
   Status Tick(const UpdateBatch& batch) {
+    CKNN_RETURN_NOT_OK(
+        testing::ApplyObjectUpdates(batch.objects, objects_.get()));
     return gma_->ProcessTimestamp(batch);
   }
 

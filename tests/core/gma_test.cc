@@ -27,6 +27,7 @@ TEST(GmaTest, ActiveNodesFollowQueries) {
   // intersections -> both become active.
   batch.queries.push_back(QueryUpdate{0, QueryUpdate::Kind::kInstall,
                                       NetworkPoint{2, 0.5}, 2});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(batch.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(batch).ok());
   EXPECT_EQ(gma.NumActiveNodes(), 2u);
   EXPECT_EQ(gma.NumQueries(), 1u);
@@ -77,6 +78,7 @@ TEST(GmaTest, QueryOnTerminalSequenceUsesSingleActiveNode) {
   // q3 on n5n4 (edge 8): n4 is terminal, only n5 becomes active.
   batch.queries.push_back(QueryUpdate{0, QueryUpdate::Kind::kInstall,
                                       NetworkPoint{8, 0.5}, 2});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(batch.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(batch).ok());
   EXPECT_EQ(gma.NumActiveNodes(), 1u);
   ASSERT_NE(gma.ResultOf(0), nullptr);
@@ -100,6 +102,7 @@ TEST(GmaTest, PureCycleComponentHasNoActiveNodes) {
   batch.objects.push_back(ObjectUpdate{2, std::nullopt, NetworkPoint{1, 0.1}});
   batch.queries.push_back(QueryUpdate{0, QueryUpdate::Kind::kInstall,
                                       NetworkPoint{0, 0.5}, 2});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(batch.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(batch).ok());
   EXPECT_EQ(gma.NumActiveNodes(), 0u);
   ASSERT_NE(gma.ResultOf(0), nullptr);
@@ -131,6 +134,7 @@ TEST(GmaTest, PureCycleWalkWrapsPastAnchor) {
   // Query on e0 near a.
   batch.queries.push_back(QueryUpdate{0, QueryUpdate::Kind::kInstall,
                                       NetworkPoint{0, 0.5}, 1});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(batch.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(batch).ok());
   ASSERT_EQ(gma.ResultOf(0)->size(), 1u);
   EXPECT_NEAR((*gma.ResultOf(0))[0].distance, 0.6, 1e-9);
@@ -145,6 +149,7 @@ TEST(GmaTest, MovingQueryAcrossSequences) {
   batch.objects.push_back(ObjectUpdate{2, std::nullopt, NetworkPoint{8, 0.5}});
   batch.queries.push_back(QueryUpdate{0, QueryUpdate::Kind::kInstall,
                                       NetworkPoint{2, 0.5}, 1});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(batch.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(batch).ok());
   const std::size_t active_before = gma.NumActiveNodes();
   // Move into the n2n3 sequence: active set follows.
@@ -174,6 +179,7 @@ TEST(GmaTest, SharedExecutionAcrossQueriesInOneSequence) {
                                       NetworkPoint{3, 0.5}, 2});
   batch.queries.push_back(QueryUpdate{2, QueryUpdate::Kind::kInstall,
                                       NetworkPoint{4, 0.7}, 2});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(batch.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(batch).ok());
   EXPECT_EQ(gma.NumQueries(), 3u);
   EXPECT_EQ(gma.NumActiveNodes(), 2u);  // Shared: n1 and n5 only.
@@ -188,6 +194,7 @@ TEST(GmaTest, UpdateFilteringSkipsUnrelatedQueries) {
   batch.objects.push_back(ObjectUpdate{2, std::nullopt, NetworkPoint{6, 0.6}});
   batch.queries.push_back(QueryUpdate{0, QueryUpdate::Kind::kInstall,
                                       NetworkPoint{2, 0.5}, 1});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(batch.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(batch).ok());
   const auto evals_before = gma.stats().evaluations;
   // Object 2 moves within edge 6, far from query 0's influence region and
@@ -195,6 +202,7 @@ TEST(GmaTest, UpdateFilteringSkipsUnrelatedQueries) {
   UpdateBatch far;
   far.objects.push_back(
       ObjectUpdate{2, NetworkPoint{6, 0.6}, NetworkPoint{6, 0.9}});
+  ASSERT_TRUE(testing::ApplyObjectUpdates(far.objects, &objects).ok());
   ASSERT_TRUE(gma.ProcessTimestamp(far).ok());
   EXPECT_EQ(gma.stats().evaluations, evals_before);
 }
@@ -203,7 +211,7 @@ TEST(GmaTest, UpdateFilteringSkipsUnrelatedQueries) {
 TEST(GmaTest, AgreesWithOvhUnderMixedUpdates) {
   RoadNetwork base =
       GenerateRoadNetwork(NetworkGenConfig{.target_edges = 220, .seed = 8});
-  MonitoringServer gma_server(CloneNetwork(base), Algorithm::kGma);
+  MonitoringServer gma_server(base.SharedView(), Algorithm::kGma);
   MonitoringServer ovh_server(std::move(base), Algorithm::kOvh);
   Rng rng(55);
   const std::size_t num_edges = gma_server.network().NumEdges();

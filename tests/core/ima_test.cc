@@ -15,7 +15,7 @@ namespace {
 class ImaVsOvhFixture : public ::testing::Test {
  protected:
   void Init(RoadNetwork net) {
-    ima_ = std::make_unique<MonitoringServer>(CloneNetwork(net),
+    ima_ = std::make_unique<MonitoringServer>(net.SharedView(),
                                               Algorithm::kIma);
     ovh_ = std::make_unique<MonitoringServer>(std::move(net),
                                               Algorithm::kOvh);
@@ -284,6 +284,7 @@ TEST(ImaEngineTest, InfluenceFilteringIgnoresIrrelevantUpdates) {
   const auto before = engine.stats().updates_ignored;
   std::vector<ObjectUpdate> updates{ObjectUpdate{
       2, NetworkPoint{far_edge, 0.5}, NetworkPoint{far_edge, 0.6}}};
+  ASSERT_TRUE(testing::ApplyObjectUpdates(updates, &objects).ok());
   const auto changed = engine.ProcessUpdates(updates, {}, {});
   EXPECT_TRUE(changed.empty());
   EXPECT_EQ(engine.stats().updates_ignored, before + 1);
@@ -374,6 +375,7 @@ TEST(ImaEngineTest, SetKMidStreamContinuesFromTheLiveFrontier) {
     const EdgeId e = static_cast<EdgeId>(rng.NextIndex(num_edges));
     edge_updates.push_back(
         EdgeUpdate{e, net.edge(e).weight * (rng.NextBool(0.5) ? 1.3 : 0.7)});
+    ASSERT_TRUE(testing::ApplyObjectUpdates(object_updates, &objects).ok());
     engine.ProcessUpdates(object_updates, edge_updates, {});
 
     const int k = ks[round];

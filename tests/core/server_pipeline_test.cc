@@ -32,9 +32,9 @@ void ExpectPipelineEqualsSerial(const RoadNetwork& network,
                                 Algorithm algorithm, int shards, int depth,
                                 const std::vector<UpdateBatch>& batches,
                                 const std::vector<QueryId>& live) {
-  MonitoringServer serial(CloneNetwork(network), algorithm, shards,
+  MonitoringServer serial(network.SharedView(), algorithm, shards,
                           /*pipeline_depth=*/1);
-  MonitoringServer pipelined(CloneNetwork(network), algorithm, shards,
+  MonitoringServer pipelined(network.SharedView(), algorithm, shards,
                              depth);
   EXPECT_EQ(pipelined.pipeline_depth(), depth);
   for (const UpdateBatch& batch : batches) {

@@ -26,8 +26,8 @@ TEST_P(TortureTest, FortyTimestampsOfEverything) {
       testing::FuzzSeed(static_cast<std::uint64_t>(GetParam()));
   RoadNetwork base = GenerateRoadNetwork(
       NetworkGenConfig{.target_edges = 400, .seed = seed});
-  MonitoringServer ovh(CloneNetwork(base), Algorithm::kOvh);
-  MonitoringServer ima(CloneNetwork(base), Algorithm::kIma);
+  MonitoringServer ovh(base.SharedView(), Algorithm::kOvh);
+  MonitoringServer ima(base.SharedView(), Algorithm::kIma);
   MonitoringServer gma(std::move(base), Algorithm::kGma);
   MonitoringServer* servers[3] = {&ovh, &ima, &gma};
 

@@ -97,7 +97,7 @@ TEST_F(WorkloadTest, GenerationIsIndependentOfLiveNetworkWeights) {
   cfg.num_queries = 5;
   cfg.edge_agility = 0.3;
   cfg.seed = 321;
-  RoadNetwork mutated = CloneNetwork(server_.network());
+  RoadNetwork mutated = server_.network().SharedView();
   Workload reference(&server_.network(), &server_.spatial_index(), cfg);
   Workload shadowed(&mutated, &server_.spatial_index(), cfg);
   (void)reference.Initial();

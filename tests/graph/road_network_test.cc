@@ -77,15 +77,23 @@ TEST(RoadNetworkTest, AverageEdgeLength) {
   EXPECT_DOUBLE_EQ(empty.AverageEdgeLength(), 0.0);
 }
 
-TEST(RoadNetworkTest, CloneIsDeepAndPreservesWeights) {
-  RoadNetwork net = testing::MakeGrid(3);
+// A view shares the topology but owns its weights: a weight update in one
+// view is invisible in every other (each shard applies edge updates to its
+// own view).
+TEST(RoadNetworkTest, SharedViewHasIndependentWeights) {
+  RoadNetwork net = testing::MakeGrid(5);
   ASSERT_TRUE(net.SetWeight(2, 9.0).ok());
-  RoadNetwork copy = CloneNetwork(net);
-  EXPECT_EQ(copy.NumNodes(), net.NumNodes());
-  EXPECT_EQ(copy.NumEdges(), net.NumEdges());
-  EXPECT_DOUBLE_EQ(copy.edge(2).weight, 9.0);
-  ASSERT_TRUE(copy.SetWeight(2, 1.0).ok());
-  EXPECT_DOUBLE_EQ(net.edge(2).weight, 9.0);  // Original untouched.
+  RoadNetwork view = net.SharedView();
+  EXPECT_TRUE(view.SharesTopologyWith(net));
+  EXPECT_EQ(view.NumNodes(), net.NumNodes());
+  EXPECT_EQ(view.NumEdges(), net.NumEdges());
+  EXPECT_DOUBLE_EQ(view.WeightOf(2), 9.0);  // Current weights copied.
+
+  ASSERT_TRUE(view.SetWeight(0, 42.0).ok());
+  EXPECT_EQ(view.WeightOf(0), 42.0);
+  EXPECT_NE(net.WeightOf(0), 42.0);  // The base view is untouched.
+  ASSERT_TRUE(net.SetWeight(1, 7.0).ok());
+  EXPECT_NE(view.WeightOf(1), 7.0);
 }
 
 TEST(RoadNetworkTest, MemoryBytesNonTrivial) {

@@ -147,7 +147,7 @@ TEST_P(ServingDeterminismTest, ProducersMatchSerialReplay) {
 
   MonitoringServer serial(GenerateRoadNetwork(net), scenario.algorithm,
                           scenario.shards, /*pipeline_depth=*/1);
-  MonitoringServer served(CloneNetwork(serial.network()),
+  MonitoringServer served(serial.network().SharedView(),
                           scenario.algorithm, scenario.shards,
                           /*pipeline_depth=*/2);
   const std::vector<std::vector<ServeRequest>> windows = MakeWindows(
@@ -225,7 +225,7 @@ TEST(ServingPumpDeterminismTest, PumpedProducersMatchSerialForOvh) {
 
   MonitoringServer serial(GenerateRoadNetwork(net), Algorithm::kOvh,
                           /*num_shards=*/1, /*pipeline_depth=*/1);
-  MonitoringServer served(CloneNetwork(serial.network()), Algorithm::kOvh,
+  MonitoringServer served(serial.network().SharedView(), Algorithm::kOvh,
                           /*num_shards=*/1, /*pipeline_depth=*/2);
   const std::vector<std::vector<ServeRequest>> windows = MakeWindows(
       &serial.network(), &serial.spatial_index(), wl, /*steps=*/8);

@@ -33,7 +33,7 @@ Trace RecordScenario(const NetworkGenConfig& net_config,
   MonitoringServer scaffold(GenerateRoadNetwork(net_config), Algorithm::kOvh);
   Workload workload(&scaffold.network(), &scaffold.spatial_index(), wl);
   Trace trace;
-  trace.network = CloneNetwork(scaffold.network());
+  trace.network = scaffold.network().SharedView();
   trace.batches.push_back(workload.Initial());
   for (int ts = 0; ts < steps; ++ts) trace.batches.push_back(workload.Step());
   return trace;
@@ -106,8 +106,8 @@ TEST(ConformanceTest, DivergenceIsDetectedAndLocated) {
                                         NetworkPoint{0, 0.1}, 1});
   trace.batches.push_back(initial);
   trace.batches.push_back(UpdateBatch{});
-  MonitoringServer honest(CloneNetwork(trace.network), Algorithm::kOvh);
-  MonitoringServer tampered(CloneNetwork(trace.network), Algorithm::kIma);
+  MonitoringServer honest(trace.network.SharedView(), Algorithm::kOvh);
+  MonitoringServer tampered(trace.network.SharedView(), Algorithm::kIma);
   // Plant an extra object only the second server knows about, right on top
   // of the query: its 1-NN result must diverge at the first comparison.
   ASSERT_TRUE(tampered.AddObject(999999, NetworkPoint{0, 0.1}).ok());

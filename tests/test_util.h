@@ -15,6 +15,8 @@
 #include "src/graph/network_point.h"
 #include "src/graph/road_network.h"
 #include "src/graph/shortest_path.h"
+#include "src/util/macros.h"
+#include "src/util/status.h"
 
 namespace cknn::testing {
 
@@ -109,6 +111,19 @@ inline RoadNetwork MakeFigure11() {
   EXPECT_TRUE(net.AddEdge(n2, n5).ok());  // e7
   EXPECT_TRUE(net.AddEdge(n5, n4).ok());  // e8
   return net;
+}
+
+/// Applies a batch's object updates to `objects` in stream order and
+/// returns the first failure. Engines only read the object table: the
+/// server's apply stage does exactly this before its engines see a batch,
+/// so engine tests that drive a monitor directly call it first and run
+/// the order production runs.
+inline Status ApplyObjectUpdates(const std::vector<ObjectUpdate>& updates,
+                                 ObjectTable* objects) {
+  for (const ObjectUpdate& u : updates) {
+    CKNN_RETURN_NOT_OK(objects->Apply(u));
+  }
+  return Status::OK();
 }
 
 /// Brute-force k-NN oracle: full point-to-point shortest path per object.

@@ -101,15 +101,13 @@ expect_usage_error(bare_shards --shards)
 expect_usage_error(zero_pipeline --pipeline=0)
 expect_usage_error(bare_pipeline --pipeline)
 expect_usage_error(deep_pipeline --pipeline=3)
-expect_usage_error(zero_tiles --tiles=0)
-expect_usage_error(bare_tiles --tiles)
 
-# A sharded, weight-tiled run must work end to end (exit 0; result
+# A sharded run must work end to end (exit 0; result
 # agreement with the serial default is enforced by shard_determinism_test
 # and the conformance CLI --shards legs).
 execute_process(
   COMMAND ${CKNN_SIM}
-    --algo=ima --shards=4 --tiles=4 --edges=200 --objects=300 --queries=20
+    --algo=ima --shards=4 --edges=200 --objects=300 --queries=20
     --k=4 --timestamps=5 --seed=7
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err

@@ -103,7 +103,7 @@ TEST(TraceReplayTest, ReplayReproducesTheRecordedRunExactly) {
   }
 
   Trace trace;
-  trace.network = CloneNetwork(original.network());
+  trace.network = original.network().SharedView();
   // The trace's network must carry the *initial* weights, not the final
   // ones; rebuild them from the recorded stream by starting from lengths.
   for (EdgeId e = 0; e < trace.network.NumEdges(); ++e) {
@@ -112,7 +112,7 @@ TEST(TraceReplayTest, ReplayReproducesTheRecordedRunExactly) {
   }
   trace.batches = captured;
 
-  MonitoringServer replayed(CloneNetwork(trace.network), Algorithm::kIma);
+  MonitoringServer replayed(trace.network.SharedView(), Algorithm::kIma);
   TraceWorkloadSource source(&trace);
   ASSERT_TRUE(replayed.Tick(source.Initial()).ok());
   for (int ts = 0; ts < kSteps; ++ts) {

@@ -145,30 +145,15 @@ TEST(MemOracleTest, RoadNetworkWithCsr) {
   });
 }
 
-TEST(MemOracleTest, TilePartition) {
-  // The partition is shared across views; the build lambda measures one
-  // copy of the assignment/locator/slot arrays.
-  const RoadNetwork net = testing::MakeGrid(60);
-  net.topology()->BuildAdjacencyIndex();
-  ExpectEstimateWithinOracle("TilePartition", [&net] {
-    struct Holder {
-      std::shared_ptr<const TilePartition> part;
-      std::size_t MemoryBytes() const { return part->MemoryBytes(); }
-    };
-    return std::make_unique<Holder>(
-        Holder{TilePartition::Build(*net.topology(), 16)});
-  });
-}
-
-TEST(MemOracleTest, TiledWeightOverlay) {
+TEST(MemOracleTest, WeightOverlay) {
   // A shard's true per-view increment: OverlayMemoryBytes() of a
-  // SharedView must cover the tiled weight payload it actually allocates
-  // (the network is built and retiled OUTSIDE the measured build, so the
-  // delta is only the overlay copy).
+  // SharedView must cover the weight vector it actually allocates — the
+  // figure ShardSet::MemoryBytes (and so the gated monitor memory) counts
+  // for each extra shard. The network is built OUTSIDE the measured
+  // build, so the delta is only the overlay copy.
   RoadNetwork base = testing::MakeGrid(60);
   base.BuildAdjacencyIndex();
-  base.Retile(16);
-  ExpectEstimateWithinOracle("TiledWeightOverlay", [&base] {
+  ExpectEstimateWithinOracle("WeightOverlay", [&base] {
     struct Holder {
       RoadNetwork view;
       std::size_t MemoryBytes() const { return view.OverlayMemoryBytes(); }

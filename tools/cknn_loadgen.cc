@@ -39,7 +39,6 @@ void PrintUsage() {
       "  --edges=N             generated network size (default 10000)\n"
       "  --shards=N            worker shards (default 1)\n"
       "  --pipeline=D          ingest pipeline depth, 1 or 2 (default 2)\n"
-      "  --tiles=N             weight-storage tiles (default 1)\n"
       "  --producers=N         submitting threads (default 4)\n"
       "  --bursts=N            timed submission windows (default 8)\n"
       "  --heavy-every=N       every Nth burst is an arrival spike\n"
@@ -88,8 +87,6 @@ bool ParseOptions(int argc, char** argv, serve::LoadScenarioConfig* opt) {
         std::fprintf(stderr, "--pipeline depth must be 1 or 2\n\n");
         return false;
       }
-    } else if (ParseFlag(argv[i], "--tiles", &v)) {
-      if (!ParsePositiveInt("--tiles", v, &opt->tiles)) return false;
     } else if (ParseFlag(argv[i], "--producers", &v)) {
       if (!ParsePositiveInt("--producers", v, &opt->producers)) return false;
     } else if (ParseFlag(argv[i], "--bursts", &v)) {

@@ -56,7 +56,6 @@ struct Options {
   std::uint64_t seed = 1;
   int shards = 1;
   int pipeline = 2;
-  int tiles = 1;
   std::size_t queue_capacity = std::size_t{1} << 16;
   bool selfcheck = false;
 };
@@ -72,7 +71,6 @@ void PrintUsage() {
       "  --seed=N              network generator seed (default 1)\n"
       "  --shards=N            worker shards (default 1)\n"
       "  --pipeline=D          ingest pipeline depth, 1 or 2 (default 2)\n"
-      "  --tiles=N             weight-storage tiles (default 1)\n"
       "  --queue-capacity=N    submission queue bound; a full queue\n"
       "                        answers ResourceExhausted (default 65536)\n"
       "  --selfcheck           run an in-process protocol round trip\n"
@@ -114,8 +112,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
         std::fprintf(stderr, "--pipeline depth must be 1 or 2\n\n");
         return false;
       }
-    } else if (ParseFlag(argv[i], "--tiles", &v)) {
-      if (!ParsePositiveInt("--tiles", v, &opt->tiles)) return false;
     } else if (ParseFlag(argv[i], "--queue-capacity", &v)) {
       if (!ParseSize("--queue-capacity", v, &opt->queue_capacity)) {
         return false;
@@ -144,7 +140,7 @@ MonitoringServer MakeServer(const Options& opt) {
   net.target_edges = opt.edges;
   net.seed = opt.seed;
   return MonitoringServer(GenerateRoadNetwork(net), opt.algo, opt.shards,
-                          opt.pipeline, opt.tiles);
+                          opt.pipeline);
 }
 
 ServingConfig MakeServingConfig(const Options& opt) {

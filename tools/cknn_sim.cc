@@ -83,9 +83,6 @@ void PrintUsage() {
       "                        tick's generation+aggregation+validation\n"
       "                        with the current tick's maintenance —\n"
       "                        results are identical, see docs/pipeline.md)\n"
-      "  --tiles=N             region tiles of the weight storage\n"
-      "                        (default 1 = flat; results are independent\n"
-      "                        of the tile count — see docs/tiling.md)\n"
       "  --seed=N              master seed (default 42)\n"
       "  --record=FILE         record the generated workload as a trace\n"
       "  --replay=FILE         replay a recorded trace (the network and\n"
@@ -212,8 +209,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
                      "--pipeline depth must be 1 or 2 (double buffering)\n\n");
         return false;
       }
-    } else if (ParseFlag(argv[i], "--tiles", &v)) {
-      if (!ParsePositiveInt("--tiles", v, &opt->spec.tiles)) return false;
     } else if (ParseFlag(argv[i], "--seed", &v)) {
       if (!ParseCount("--seed", v, &opt->spec.workload.seed)) return false;
       opt->spec.network.seed = opt->spec.workload.seed ^ 0x9E37;
@@ -324,7 +319,6 @@ int RunReplayModes(const Options& opt) {
     ConformanceOptions conf;
     conf.shards = opt.spec.shards;
     conf.pipeline_depth = opt.spec.pipeline_depth;
-    conf.tiles = opt.spec.tiles;
     return PrintConformance(CheckTraceConformance(*trace, conf));
   }
   if (opt.compare) {
@@ -332,7 +326,7 @@ int RunReplayModes(const Options& opt) {
         "Algorithm comparison (replay)", opt.memory, [&](Algorithm algo) {
           std::fprintf(stderr, "replaying %s...\n", AlgorithmName(algo));
           return RunTraceReplay(algo, *trace, opt.memory, opt.spec.shards,
-                                opt.spec.pipeline_depth, opt.spec.tiles);
+                                opt.spec.pipeline_depth);
         });
   }
   std::fprintf(stderr, "replaying %s on %s (%zu edges, %zu ticks)...\n",
@@ -340,7 +334,7 @@ int RunReplayModes(const Options& opt) {
                trace->network.NumEdges(), trace->batches.size());
   Result<RunMetrics> metrics =
       RunTraceReplay(opt.algo, *trace, opt.memory, opt.spec.shards,
-                     opt.spec.pipeline_depth, opt.spec.tiles);
+                     opt.spec.pipeline_depth);
   if (!metrics.ok()) {
     std::fprintf(stderr, "replay failed: %s\n",
                  metrics.status().ToString().c_str());
@@ -356,8 +350,7 @@ int RunGeneratedConformance(const Options& opt) {
   const RoadNetwork net = GenerateRoadNetwork(opt.spec.network);
   const std::vector<std::unique_ptr<MonitoringServer>> servers =
       BuildLockstepServers(net, ConformanceOptions{}.algorithms,
-                           opt.spec.shards, opt.spec.pipeline_depth,
-                           opt.spec.tiles);
+                           opt.spec.shards, opt.spec.pipeline_depth);
   std::vector<MonitoringServer*> ptrs;
   ptrs.reserve(servers.size());
   for (const auto& server : servers) ptrs.push_back(server.get());
