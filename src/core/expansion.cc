@@ -35,15 +35,18 @@ const ExpansionState::SettledInfo* ExpansionState::Info(NodeId n) const {
 
 void ExpansionState::Settle(NodeId n, double dist, NodeId parent,
                             EdgeId via_edge) {
-  CKNN_CHECK(!settled_.Contains(n));
-  Slot& s = settled_[n];
-  s.info = SettledInfo{dist, parent, via_edge};
+  CKNN_DCHECK(n != kInvalidNode);
+  Slot slot;
+  slot.info = SettledInfo{dist, parent, via_edge};
+  slot.node = n;
+  // Insert first: an insert may move every slot, so the parent is looked
+  // up only afterwards (a lookup moves nothing).
+  const auto [s, inserted] = settled_.Insert(slot);
+  CKNN_CHECK(inserted);
   if (parent != kInvalidNode) {
-    // Slot pointers are stable across inserts (paged storage), so linking
-    // into the parent's child list after inserting `n` is safe.
     Slot* ps = settled_.Find(parent);
     CKNN_DCHECK(ps != nullptr);
-    s.next_sibling = ps->first_child;
+    s->next_sibling = ps->first_child;
     ps->first_child = n;
   }
   max_settled_dist_ = std::max(max_settled_dist_, dist);
@@ -68,7 +71,7 @@ void ExpansionState::MarkNodes(const std::vector<NodeId>& nodes) {
   if (++mark_epoch_ == 0) {
     // Stamp counter wrapped (once per ~4G set operations): sweep the stale
     // stamps so an ancient mark cannot alias the restarted epoch.
-    settled_.ForEachMutable([](std::uint64_t, Slot& s) { s.mark = 0; });
+    settled_.ForEachMutable([](Slot& s) { s.mark = 0; });
     mark_epoch_ = 1;
   }
   for (NodeId n : nodes) {
@@ -89,10 +92,11 @@ void ExpansionState::EraseNodes(const std::vector<NodeId>& nodes) {
     const Slot* ps = settled_.Find(parent);
     if (ps != nullptr && ps->mark != mark_epoch_) DetachFromParent(n, parent);
   }
+  // Each erase may move other slots, so every node is looked up afresh.
   for (NodeId n : nodes) {
-    const bool erased = settled_.Erase(n);
-    CKNN_DCHECK(erased);
-    (void)erased;
+    Slot* s = settled_.Find(n);
+    CKNN_DCHECK(s != nullptr);
+    settled_.Erase(s);
   }
 }
 
@@ -144,8 +148,8 @@ std::vector<NodeId> ExpansionState::AdjustSubtree(NodeId root, double delta) {
 
 std::vector<NodeId> ExpansionState::PruneBeyond(double threshold) {
   std::vector<NodeId> removed;
-  settled_.ForEach([&](std::uint64_t n, const Slot& s) {
-    if (s.info.dist > threshold) removed.push_back(static_cast<NodeId>(n));
+  settled_.ForEach([&](const Slot& s) {
+    if (s.info.dist > threshold) removed.push_back(s.node);
   });
   EraseNodes(removed);
   return removed;
@@ -155,9 +159,9 @@ std::vector<NodeId> ExpansionState::PruneOthersBeyond(NodeId keep_root,
                                                       double threshold) {
   MarkNodes(SubtreeOf(keep_root));
   std::vector<NodeId> removed;
-  settled_.ForEach([&](std::uint64_t n, const Slot& s) {
+  settled_.ForEach([&](const Slot& s) {
     if (s.info.dist > threshold && s.mark != mark_epoch_) {
-      removed.push_back(static_cast<NodeId>(n));
+      removed.push_back(s.node);
     }
   });
   EraseNodes(removed);

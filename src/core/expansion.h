@@ -8,7 +8,7 @@
 #include "src/graph/network_point.h"
 #include "src/graph/road_network.h"
 #include "src/graph/types.h"
-#include "src/util/dense_id_map.h"
+#include "src/util/flat_id_map.h"
 
 namespace cknn {
 
@@ -44,10 +44,14 @@ struct ExpansionSource {
 /// endpoints). This is equivalent to the paper's marks without per-edge
 /// interval bookkeeping.
 ///
-/// Storage is a node-indexed `DenseIdMap` of slots that carry the tree
-/// label plus intrusive first-child/next-sibling links, so subtree walks
-/// need no separate parent -> children hash map and a full reset is an O(1)
-/// epoch bump (the per-query state is reused across timestamps).
+/// Storage is a `FlatIdMap` of slots that carry the node, its tree label
+/// and intrusive first-child/next-sibling links, so subtree walks need no
+/// separate parent -> children hash map. The map's array follows the
+/// settled set, not the ids: it doubles as an expansion grows and halves
+/// once prunes leave it below 1/8 load, so a query that moves across the
+/// network pays for its tree, not for every id range it has visited. A
+/// reset (`Clear`) vacates the array in O(capacity) and keeps it for
+/// reuse.
 ///
 /// The class exposes exactly the maintenance operations Sections 4.2-4.4
 /// need: subtree pruning (weight increases, query movement), subtree
@@ -74,21 +78,22 @@ class ExpansionState {
   /// responsible for having adjusted the settled distances).
   void SetSourcePoint(const NetworkPoint& p);
 
-  bool IsSettled(NodeId n) const { return settled_.Contains(n); }
+  bool IsSettled(NodeId n) const { return settled_.Find(n) != nullptr; }
   std::optional<double> NodeDistance(NodeId n) const;
   const SettledInfo* Info(NodeId n) const;
 
   std::size_t NumSettled() const { return settled_.size(); }
 
-  /// Calls `f(NodeId, const SettledInfo&)` for every settled node, in
-  /// ascending node id order.
+  /// Calls `f(NodeId, const SettledInfo&)` for every settled node, in the
+  /// map's array order: deterministic for a given operation history, but
+  /// not sorted by node id.
   template <typename F>
   void ForEachSettled(F&& f) const {
-    settled_.ForEach(
-        [&](std::uint64_t n, const Slot& s) { f(static_cast<NodeId>(n), s.info); });
+    settled_.ForEach([&](const Slot& s) { f(s.node, s.info); });
   }
 
-  /// Adds a verified node. Checked error if already settled.
+  /// Adds a verified node (not kInvalidNode). Checked error if already
+  /// settled.
   void Settle(NodeId n, double dist, NodeId parent, EdgeId via_edge);
 
   /// The settled node whose shortest path arrives through `e` (the root of
@@ -159,14 +164,20 @@ class ExpansionState {
   void set_max_settled_dist(double d) { max_settled_dist_ = d; }
 
  private:
-  /// One settled node: tree label plus intrusive child-list links (children
-  /// are linked newest-first) and a scratch stamp for set operations.
+  /// One settled node: its id (kInvalidNode marks a vacant slot), tree
+  /// label, intrusive child-list links (children are linked newest-first)
+  /// and a scratch stamp for set operations.
   struct Slot {
     SettledInfo info;
+    NodeId node = kInvalidNode;
     NodeId first_child = kInvalidNode;
     NodeId next_sibling = kInvalidNode;
     std::uint32_t mark = 0;  ///< Live iff == mark_epoch_ (scratch).
+
+    bool vacant() const { return node == kInvalidNode; }
+    NodeId key() const { return node; }
   };
+  static_assert(sizeof(Slot) == 32, "settled slots pack to 32 bytes");
 
   /// Removes `n` from its parent's child list (if the parent survives).
   void DetachFromParent(NodeId n, NodeId parent);
@@ -179,7 +190,7 @@ class ExpansionState {
   void MarkNodes(const std::vector<NodeId>& nodes);
 
   ExpansionSource source_;
-  DenseIdMap<Slot> settled_;
+  FlatIdMap<Slot> settled_;
   std::uint32_t mark_epoch_ = 0;
   double bound_ = kInfDist;
   double max_settled_dist_ = 0.0;

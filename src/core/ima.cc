@@ -129,12 +129,11 @@ void ImaEngine::RepairAfterRemoval(QueryId id, Entry* entry,
   // Tentative labels that pointed into the removed region are stale
   // (possibly stale-low); drop and re-derive them.
   std::vector<NodeId> to_rederive(removed.begin(), removed.end());
-  entry->frontier.pending.ForEach(
-      [&](std::uint64_t n, const std::pair<NodeId, EdgeId>& label) {
-        if (label.first != kInvalidNode && gone.count(label.first) != 0) {
-          to_rederive.push_back(static_cast<NodeId>(n));
-        }
-      });
+  entry->frontier.pending.ForEach([&](const Frontier::Label& label) {
+    if (label.parent != kInvalidNode && gone.count(label.parent) != 0) {
+      to_rederive.push_back(label.node);
+    }
+  });
   for (NodeId n : to_rederive) {
     if (gone.count(n) == 0) entry->frontier.Erase(n);
   }
@@ -174,7 +173,7 @@ void ImaEngine::RepairEdgeKeys(Entry* entry, EdgeId edge) {
     const NodeId other = ends[1 - i];
     if (entry->state.IsSettled(node)) continue;
     const auto* label = entry->frontier.pending.Find(node);
-    if (label != nullptr && label->second == edge) {
+    if (label != nullptr && label->via == edge) {
       // The tentative label went through this edge with the old weight.
       entry->frontier.Erase(node);
       RederiveFrontierNode(entry, node);
@@ -585,19 +584,18 @@ Status ImaEngine::CheckInvariants() const {
     if (!tree_status.ok()) return tree_status;
     // Frontier: pending parents settled, keys consistent with labels.
     Status frontier_status = Status::OK();
-    entry.frontier.pending.ForEach(
-        [&](std::uint64_t n, const std::pair<NodeId, EdgeId>& label) {
-          if (!frontier_status.ok()) return;
-          if (entry.state.IsSettled(static_cast<NodeId>(n))) {
-            frontier_status = fail(tag + "settled node still in frontier");
-            return;
-          }
-          if (label.first != kInvalidNode &&
-              !entry.state.IsSettled(label.first)) {
-            frontier_status =
-                fail(tag + "frontier label points at unsettled parent");
-          }
-        });
+    entry.frontier.pending.ForEach([&](const Frontier::Label& label) {
+      if (!frontier_status.ok()) return;
+      if (entry.state.IsSettled(label.node)) {
+        frontier_status = fail(tag + "settled node still in frontier");
+        return;
+      }
+      if (label.parent != kInvalidNode &&
+          !entry.state.IsSettled(label.parent)) {
+        frontier_status =
+            fail(tag + "frontier label points at unsettled parent");
+      }
+    });
     if (!frontier_status.ok()) return frontier_status;
     // Known set: objects exist, lie on influenced edges, distances valid.
     Status known_status = Status::OK();
@@ -650,7 +648,8 @@ std::size_t ImaEngine::MemoryBytes() const {
     (void)id;
     bytes += entry.state.MemoryBytes() + entry.known.MemoryBytes() +
              entry.frontier.MemoryBytes() + VectorBytes(entry.result) +
-             HashSetBytes(entry.covered) + HashSetBytes(entry.rescan_edges);
+             HashSetBytes(entry.covered) + HashSetBytes(entry.rescan_edges) +
+             HashSetBytes(entry.pending_uncover);
   }
   // cknn-lint: allow(unordered-iter) commutative byte sum
   for (const auto& il : influence_) bytes += HashSetBytes(il);

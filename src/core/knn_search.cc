@@ -74,11 +74,11 @@ void ExpandToK(const RoadNetwork& net, const ObjectTable& objects, int k,
     if (frontier->heap.Top().key > kth) break;
     const auto [id, dist] = frontier->heap.Pop();
     const NodeId n = static_cast<NodeId>(id);
-    const auto* label_ptr = frontier->pending.Find(n);
-    CKNN_DCHECK(label_ptr != nullptr);
-    const auto label = *label_ptr;
-    frontier->pending.Erase(n);
-    state->Settle(n, dist, label.first, label.second);
+    Frontier::Label* slot = frontier->pending.Find(n);
+    CKNN_DCHECK(slot != nullptr);
+    const Frontier::Label label = *slot;
+    frontier->pending.Erase(slot);
+    state->Settle(n, dist, label.parent, label.via);
     if (newly_settled != nullptr) newly_settled->push_back(n);
     if (stats != nullptr) ++stats->nodes_settled;
     for (const RoadNetwork::Incidence& inc : net.Incidences(n)) {

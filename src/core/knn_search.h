@@ -1,14 +1,13 @@
 #ifndef CKNN_CORE_KNN_SEARCH_H_
 #define CKNN_CORE_KNN_SEARCH_H_
 
-#include <utility>
 #include <vector>
 
 #include "src/core/expansion.h"
 #include "src/core/object_table.h"
 #include "src/core/top_k.h"
 #include "src/graph/road_network.h"
-#include "src/util/dense_id_map.h"
+#include "src/util/flat_id_map.h"
 #include "src/util/indexed_min_heap.h"
 #include "src/util/mem.h"
 
@@ -32,9 +31,21 @@ struct ExpandStats {
 /// edge update prunes part of the tree, only the pruned boundary has to be
 /// repaired (see ima.cc).
 struct Frontier {
+  /// Tentative tree label of an en-heaped node: the parent it would settle
+  /// under and the edge it would arrive through. kInvalidNode in `node`
+  /// marks a vacant slot.
+  struct Label {
+    NodeId node = kInvalidNode;
+    NodeId parent = kInvalidNode;
+    EdgeId via = kInvalidEdge;
+
+    bool vacant() const { return node == kInvalidNode; }
+    NodeId key() const { return node; }
+  };
+
   IndexedMinHeap heap;
-  /// Tentative tree label (parent, via edge) of each en-heaped node.
-  DenseIdMap<std::pair<NodeId, EdgeId>> pending;
+  /// The label of each en-heaped node.
+  FlatIdMap<Label> pending;
 
   void Clear() {
     heap.Clear();
@@ -47,14 +58,17 @@ struct Frontier {
              NodeId parent, EdgeId via) {
     if (state.IsSettled(n)) return false;
     const bool changed = heap.PushOrDecrease(n, dist);
-    if (changed) pending[n] = {parent, via};
+    if (changed) {
+      const Label label{n, parent, via};
+      *pending.Insert(label).first = label;
+    }
     return changed;
   }
 
   /// Drops a tentative node if present.
   void Erase(NodeId n) {
     heap.Erase(n);
-    pending.Erase(n);
+    if (Label* label = pending.Find(n)) pending.Erase(label);
   }
 
   /// Estimated heap footprint: the heap (entry array plus its position
@@ -90,9 +104,9 @@ void RebuildFrontier(const RoadNetwork& net, const ExpansionState& state,
                      Frontier* frontier);
 
 /// Reusable working set for one-shot searches: the expansion state, the
-/// frontier, and the candidate accumulator. All three clear in O(1)
-/// (epoch bumps) and keep their pages/capacity, so a caller that runs many
-/// searches per timestamp (OVH) pays no per-query allocation churn.
+/// frontier, and the candidate accumulator. All three clear in
+/// O(capacity) and keep their arrays, so a caller that runs many searches
+/// per timestamp (OVH) pays no per-query allocation churn.
 struct KnnScratch {
   ExpansionState state;
   Frontier frontier;

@@ -39,8 +39,8 @@ Status Ovh::ProcessTimestamp(const UpdateBatch& batch) {
     }
   }
   // Overhaul: recompute everything (Fig. 2 per query). The scratch
-  // expansion is reused across queries — O(1) epoch clears instead of
-  // rebuilding the state/frontier/candidate structures each time.
+  // expansion is reused across queries: clearing its arrays in place
+  // instead of rebuilding the state/frontier/candidate structures each time.
   // cknn-lint: allow(unordered-iter) per-query recompute into (q)-keyed state
   for (auto& [id, uq] : queries_) {
     (void)id;

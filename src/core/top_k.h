@@ -36,13 +36,12 @@ namespace cknn {
 /// `std::unordered_map` paid one heap node per new candidate; replacing
 /// it, together with the edge-resident object offsets, halved the
 /// benchmark's `paper_ima` tick, see docs/expansion.md), and a cleared
-/// scratch set keeps its array for the next search. It is still
-/// deliberately a hash map, not a `DenseIdMap`: a monitoring
-/// server keeps one CandidateSet per query, each holding a handful of
-/// candidates drawn from the whole object-id space, and a dense page
-/// table would cost O(id space) bytes and O(id space / page) iteration
-/// per query (measured as a >1.25x slowdown on the paper's Fig. 13
-/// cardinality sweeps at N = 200k).
+/// scratch set keeps its array for the next search. A hash map, not a
+/// table indexed by id: a monitoring server keeps one CandidateSet per
+/// query, each holding a handful of candidates drawn from the whole
+/// object-id space, and a paged dense table cost O(id space) bytes and
+/// O(id space / page) iteration per query (measured as a >1.25x slowdown
+/// on the paper's Fig. 13 cardinality sweeps at N = 200k).
 /// Operations that can demote unknown entries into the top range
 /// (removals, distance raises, prunes) lazily mark the array stale; the
 /// next ranked read rebuilds it in one O(n) sweep. The array tracks

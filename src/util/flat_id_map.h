@@ -100,6 +100,15 @@ class FlatIdMap {
     }
   }
 
+  /// As ForEach, for `f(Slot&)`; `f` may change a slot's payload but not
+  /// its key or vacancy.
+  template <typename F>
+  void ForEachMutable(F&& f) {
+    for (Slot& slot : slots_) {
+      if (!slot.vacant()) f(slot);
+    }
+  }
+
   /// Heap footprint: the slot array.
   std::size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
 

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/util/dense_id_map.h"
+#include "src/util/flat_id_map.h"
 #include "src/util/macros.h"
 
 namespace cknn {
@@ -15,9 +15,10 @@ namespace cknn {
 /// Figure 2: network expansion needs to decrease the tentative distance of a
 /// node that is already en-heaped (lines 20-23).
 ///
-/// Ids are arbitrary 64-bit integers (node ids in practice); positions are
-/// tracked in an epoch-stamped paged array (`DenseIdMap`), so lookups are
-/// two loads instead of a hash probe and Clear is O(1).
+/// Ids are arbitrary 64-bit integers (node ids in practice); each id's
+/// array position is kept in a `FlatIdMap`, so the index costs memory in
+/// proportion to the en-heaped ids, whatever their range. Sifting moves
+/// entries into a hole and records one position per move.
 class IndexedMinHeap {
  public:
   struct Entry {
@@ -31,13 +32,13 @@ class IndexedMinHeap {
   std::size_t size() const { return heap_.size(); }
 
   /// True iff `id` is currently en-heaped.
-  bool Contains(std::uint64_t id) const { return pos_.Contains(id); }
+  bool Contains(std::uint64_t id) const { return pos_.Find(id) != nullptr; }
 
   /// Key of an en-heaped id. Checked error if absent.
   double KeyOf(std::uint64_t id) const {
-    const std::size_t* p = pos_.Find(id);
+    const Position* p = pos_.Find(id);
     CKNN_CHECK(p != nullptr);
-    return heap_[*p].key;
+    return heap_[p->pos].key;
   }
 
   /// Smallest entry. Checked error when empty.
@@ -48,49 +49,43 @@ class IndexedMinHeap {
 
   /// Inserts a new id. Checked error if already present.
   void Push(std::uint64_t id, double key) {
-    CKNN_CHECK(!pos_.Contains(id));
-    heap_.push_back(Entry{id, key});
-    pos_[id] = heap_.size() - 1;
-    SiftUp(heap_.size() - 1);
+    CKNN_CHECK(!Contains(id));
+    PushOrDecrease(id, key);
   }
 
   /// Inserts `id`, or lowers its key if already present with a larger key.
   /// Returns true if the heap changed.
   bool PushOrDecrease(std::uint64_t id, double key) {
-    const std::size_t* p = pos_.Find(id);
-    if (p == nullptr) {
-      Push(id, key);
-      return true;
+    const auto [p, inserted] = pos_.Insert(Position{id, heap_.size()});
+    if (inserted) {
+      heap_.push_back(Entry{id, key});
+    } else if (key < heap_[p->pos].key) {
+      heap_[p->pos].key = key;
+    } else {
+      return false;
     }
-    std::size_t i = *p;
-    if (key < heap_[i].key) {
-      heap_[i].key = key;
-      SiftUp(i);
-      return true;
-    }
-    return false;
+    SiftUp(p->pos);
+    return true;
   }
 
   /// Removes and returns the smallest entry.
   Entry Pop() {
     CKNN_CHECK(!heap_.empty());
-    Entry top = heap_[0];
-    Swap(0, heap_.size() - 1);
-    pos_.Erase(top.id);
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0);
+    const Entry top = heap_[0];
+    Erase(top.id);
     return top;
   }
 
   /// Removes an arbitrary id if present; returns true if it was removed.
   bool Erase(std::uint64_t id) {
-    const std::size_t* p = pos_.Find(id);
+    Position* p = pos_.Find(id);
     if (p == nullptr) return false;
-    std::size_t i = *p;
-    Swap(i, heap_.size() - 1);
-    pos_.Erase(id);
+    const std::size_t i = p->pos;
+    pos_.Erase(p);
+    const Entry last = heap_.back();
     heap_.pop_back();
     if (i < heap_.size()) {
+      heap_[i] = last;
       SiftDown(i);
       SiftUp(i);
     }
@@ -109,40 +104,51 @@ class IndexedMinHeap {
   }
 
  private:
-  void Swap(std::size_t a, std::size_t b) {
-    if (a == b) return;
-    std::swap(heap_[a], heap_[b]);
-    pos_[heap_[a].id] = a;
-    pos_[heap_[b].id] = b;
+  /// Array position of one en-heaped id; `pos == kVacant` marks a vacant
+  /// slot, so every 64-bit id is a usable key.
+  struct Position {
+    static constexpr std::size_t kVacant = SIZE_MAX;
+
+    std::uint64_t id = 0;
+    std::size_t pos = kVacant;
+
+    bool vacant() const { return pos == kVacant; }
+    std::uint64_t key() const { return id; }
+  };
+
+  /// Stores `e` at index `i` and records its position.
+  void Place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    pos_.Find(e.id)->pos = i;
   }
 
   void SiftUp(std::size_t i) {
+    const Entry e = heap_[i];
     while (i > 0) {
-      std::size_t parent = (i - 1) / 2;
-      if (heap_[parent].key <= heap_[i].key) break;
-      Swap(parent, i);
+      const std::size_t parent = (i - 1) / 2;
+      if (heap_[parent].key <= e.key) break;
+      Place(i, heap_[parent]);
       i = parent;
     }
+    Place(i, e);
   }
 
   void SiftDown(std::size_t i) {
+    const Entry e = heap_[i];
     const std::size_t n = heap_.size();
     while (true) {
-      std::size_t left = 2 * i + 1;
-      std::size_t right = left + 1;
-      std::size_t smallest = i;
-      if (left < n && heap_[left].key < heap_[smallest].key) smallest = left;
-      if (right < n && heap_[right].key < heap_[smallest].key) {
-        smallest = right;
-      }
-      if (smallest == i) break;
-      Swap(i, smallest);
-      i = smallest;
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && heap_[child + 1].key < heap_[child].key) ++child;
+      if (!(heap_[child].key < e.key)) break;
+      Place(i, heap_[child]);
+      i = child;
     }
+    Place(i, e);
   }
 
   std::vector<Entry> heap_;
-  DenseIdMap<std::size_t> pos_;
+  FlatIdMap<Position> pos_;
 };
 
 }  // namespace cknn

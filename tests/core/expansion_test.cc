@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "gtest/gtest.h"
+#include "src/core/knn_search.h"
 #include "tests/test_util.h"
 
 namespace cknn {
@@ -198,6 +199,40 @@ TEST(ExpansionStateClearTest, ClearResetsBoundAndNodes) {
   state.Clear();
   EXPECT_EQ(state.NumSettled(), 0u);
   EXPECT_EQ(state.bound(), kInfDist);
+}
+
+TEST(ExpansionMemoryTest, FollowsLiveNodesAcrossDistantReRoots) {
+  // Regression: the per-query node maps once kept a 64-slot page for every
+  // id range a query had ever touched, so a query moving across the network
+  // grew its footprint with each re-root while its tree stayed small (IMA's
+  // monitor memory rose tick after tick). Each round here roots the state
+  // and frontier in a fresh, distant id range with a handful of live nodes.
+  constexpr NodeId kSettled = 6;
+  constexpr NodeId kTentative = 4;
+  ExpansionState state;
+  Frontier frontier;
+  std::size_t peak = 0;
+  for (NodeId round = 0; round < 400; ++round) {
+    const NodeId base = round * 10007;
+    state.ResetToPoint(NetworkPoint{round, 0.5});
+    frontier.Clear();
+    state.Settle(base, 0.5, kInvalidNode, round);
+    for (NodeId i = 1; i < kSettled; ++i) {
+      state.Settle(base + i, 0.5 + i, base + i - 1, round + i);
+    }
+    for (NodeId i = 0; i < kTentative; ++i) {
+      frontier.Relax(state, base + kSettled + i, 10.0 + i, base + i,
+                     round + kSettled + i);
+    }
+    if (round % 2 == 1) {
+      // Query movement inside the tree: keep the subtree below base + 2.
+      state.ReRootToSubtree(base + 2, NetworkPoint{round + 1, 0.25}, -2.0);
+    }
+    peak = std::max(peak, state.MemoryBytes() + frontier.MemoryBytes());
+  }
+  // 128 bytes per live entry covers every map's minimum array (16 slots).
+  const std::size_t live = kSettled + kTentative;
+  EXPECT_LE(peak, sizeof(ExpansionState) + 128 * live);
 }
 
 }  // namespace

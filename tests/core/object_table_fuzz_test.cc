@@ -164,7 +164,8 @@ void ExpectSame(const std::vector<ObjectId>& ids, const ObjectTable& table,
 }
 
 /// Ids at the edges of the id space, which a sentinel-keyed map would
-/// mishandle, plus ids past DenseIdMap's dense range.
+/// mishandle, plus ids around 2^26 (where a paged dense map once switched
+/// to a hash overflow).
 std::vector<ObjectId> SpecialIds() {
   return {0, 1, ObjectId{1} << 26, (ObjectId{1} << 26) + 1, 0xFFFFFFFEu,
           kInvalidObject};

@@ -20,8 +20,8 @@
 
 namespace cknn::testing {
 
-/// Materializes the settled set of an expansion (ascending node id) so
-/// tests can range-for, break, and ASSERT over it.
+/// Materializes the settled set of an expansion (in the state's iteration
+/// order, not sorted) so tests can range-for, break, and ASSERT over it.
 inline std::vector<std::pair<NodeId, ExpansionState::SettledInfo>>
 SettledEntries(const ExpansionState& state) {
   std::vector<std::pair<NodeId, ExpansionState::SettledInfo>> out;

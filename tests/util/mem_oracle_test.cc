@@ -8,7 +8,9 @@
 // their estimates document payload bytes by design, see src/util/mem.h).
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 
@@ -19,8 +21,10 @@
 
 #include "gtest/gtest.h"
 #include "src/core/expansion.h"
+#include "src/core/ima.h"
+#include "src/core/object_table.h"
 #include "src/core/top_k.h"
-#include "src/util/dense_id_map.h"
+#include "src/util/flat_id_map.h"
 #include "src/util/indexed_min_heap.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
@@ -78,14 +82,24 @@ void ExpectEstimateWithinOracle(const char* what, Build&& build) {
       << actual;
 }
 
-TEST(MemOracleTest, DenseIdMap) {
-  ExpectEstimateWithinOracle("DenseIdMap", [] {
-    auto map = std::make_unique<DenseIdMap<double>>();
+/// A 16-byte slot of an id -> double map; a NaN value marks a vacant slot.
+struct IdValueSlot {
+  std::uint64_t id = 0;
+  double value = std::numeric_limits<double>::quiet_NaN();
+
+  bool vacant() const { return std::isnan(value); }
+  std::uint64_t key() const { return id; }
+};
+
+TEST(MemOracleTest, FlatIdMap) {
+  ExpectEstimateWithinOracle("FlatIdMap", [] {
+    auto map = std::make_unique<FlatIdMap<IdValueSlot>>();
     for (std::uint64_t id = 0; id < 20000; ++id) {
-      (*map)[id * 3] = static_cast<double>(id);
+      map->Insert(IdValueSlot{id * 3, static_cast<double>(id)});
     }
-    for (std::uint64_t id = 0; id < 200; ++id) {  // Overflow range.
-      (*map)[(std::uint64_t{1} << 40) + id * 977] = static_cast<double>(id);
+    for (std::uint64_t id = 0; id < 200; ++id) {  // Far past the node ids.
+      map->Insert(IdValueSlot{(std::uint64_t{1} << 40) + id * 977,
+                              static_cast<double>(id)});
     }
     return map;
   });
@@ -134,6 +148,41 @@ TEST(MemOracleTest, ExpansionState) {
       state->Settle(n, static_cast<double>(n), n - 1, 0);
     }
     return state;
+  });
+}
+
+TEST(MemOracleTest, ImaEngine) {
+  // The network and objects are built OUTSIDE the measured build, so the
+  // delta is the engine's own: per-query trees, frontiers, known sets and
+  // edge sets, and the influence lists. The edge-increase ticks prune
+  // trees, which fills and then clears the per-query edge sets (their
+  // bucket arrays stay allocated and must be counted).
+  RoadNetwork net = testing::MakeGrid(20);
+  net.BuildAdjacencyIndex();
+  ObjectTable objects(net.NumEdges());
+  Rng rng(23);
+  const auto random_edge = [&] {
+    return static_cast<EdgeId>(rng.NextIndex(net.NumEdges()));
+  };
+  for (ObjectId id = 0; id < 400; ++id) {
+    ASSERT_TRUE(
+        objects.Insert(id, NetworkPoint{random_edge(), rng.NextDouble()}).ok());
+  }
+  ExpectEstimateWithinOracle("ImaEngine", [&] {
+    auto engine = std::make_unique<ImaEngine>(&net, &objects);
+    for (QueryId q = 0; q < 40; ++q) {
+      const NetworkPoint pos{random_edge(), rng.NextDouble()};
+      EXPECT_TRUE(engine->AddQuery(q, ExpansionSource::AtPoint(pos), 8).ok());
+    }
+    for (int tick = 0; tick < 3; ++tick) {
+      std::vector<EdgeUpdate> increases;
+      for (EdgeId e = static_cast<EdgeId>(tick); e < net.NumEdges(); e += 13) {
+        increases.push_back(EdgeUpdate{e, net.edge(e).weight * 1.5});
+      }
+      engine->ProcessUpdates({}, increases, {});
+    }
+    EXPECT_TRUE(engine->CheckInvariants().ok());
+    return engine;
   });
 }
 
