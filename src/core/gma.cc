@@ -15,37 +15,36 @@ Gma::Gma(RoadNetwork* net, const ObjectTable* objects)
       il_(net->NumEdges()) {}
 
 const std::vector<Neighbor>* Gma::ResultOf(QueryId id) const {
-  auto it = queries_.find(id);
-  return it == queries_.end() ? nullptr : &it->second.result;
+  const UserQuery* uq = queries_.Find(id);
+  return uq == nullptr ? nullptr : &uq->result;
 }
 
 void Gma::SyncNodeK(NodeId n, ActiveNode* an) {
   if (an->queries.empty()) {
     CKNN_CHECK(engine_.RemoveQuery(n).ok());
-    active_.erase(n);
+    active_.Erase(active_.SlotOf(n));
     return;
   }
   int max_k = 0;
-  // cknn-lint: allow(unordered-iter) commutative max over the node's query set
-  for (QueryId q : an->queries) {
-    max_k = std::max(max_k, queries_.at(q).k);
-  }
+  for (Slot q : an->queries) max_k = std::max(max_k, queries_[q].k);
   if (max_k != an->k) {
     an->k = max_k;
     CKNN_CHECK(engine_.SetK(n, max_k).ok());
   }
 }
 
-void Gma::AttachToEndpoints(QueryId id, UserQuery* uq) {
+void Gma::AttachToEndpoints(Slot slot, UserQuery* uq) {
   const SequenceTable::Sequence& seq = st_->sequence(uq->seq);
   const NodeId ends[2] = {seq.EndpointA(), seq.EndpointB()};
   for (int i = 0; i < 2; ++i) {
     const NodeId n = ends[i];
     if (i == 1 && ends[0] == ends[1]) break;  // Anchored loop: one endpoint.
     if (!IsIntersection(n)) continue;
-    auto [it, inserted] = active_.try_emplace(n);
-    ActiveNode& an = it->second;
-    an.queries.insert(id);
+    const auto [node_slot, inserted] = active_.Insert(n);
+    ActiveNode& an = active_[node_slot];
+    CKNN_DCHECK(std::find(an.queries.begin(), an.queries.end(), slot) ==
+                an.queries.end());
+    an.queries.push_back(slot);
     if (inserted) {
       an.k = uq->k;
       CKNN_CHECK(
@@ -57,26 +56,45 @@ void Gma::AttachToEndpoints(QueryId id, UserQuery* uq) {
   }
 }
 
-void Gma::DetachFromEndpoints(QueryId id, UserQuery* uq) {
+void Gma::DetachFromEndpoints(Slot slot, UserQuery* uq) {
   const SequenceTable::Sequence& seq = st_->sequence(uq->seq);
   const NodeId ends[2] = {seq.EndpointA(), seq.EndpointB()};
   for (int i = 0; i < 2; ++i) {
     const NodeId n = ends[i];
     if (i == 1 && ends[0] == ends[1]) break;
     if (!IsIntersection(n)) continue;
-    auto it = active_.find(n);
-    CKNN_CHECK(it != active_.end());
-    it->second.queries.erase(id);
-    SyncNodeK(n, &it->second);
+    ActiveNode* an = active_.Find(n);
+    CKNN_CHECK(an != nullptr);
+    const auto it = std::find(an->queries.begin(), an->queries.end(), slot);
+    CKNN_CHECK(it != an->queries.end());
+    *it = an->queries.back();
+    an->queries.pop_back();
+    SyncNodeK(n, an);
   }
 }
 
-void Gma::ClearInfluence(QueryId id, UserQuery* uq) {
-  for (EdgeId e : uq->covered) il_[e].erase(id);
+void Gma::ClearInfluence(Slot slot, UserQuery* uq) {
+  for (EdgeId e : uq->covered) {
+    std::vector<Influence>& list = il_[e];
+    const auto it =
+        std::find_if(list.begin(), list.end(),
+                     [slot](const Influence& in) { return in.query == slot; });
+    CKNN_DCHECK(it != list.end());
+    *it = list.back();
+    list.pop_back();
+  }
   uq->covered.clear();
 }
 
-void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
+bool Gma::Queue(Slot slot) {
+  UserQuery& uq = queries_[slot];
+  if (uq.queued_pass == pass_) return false;
+  uq.queued_pass = pass_;
+  to_evaluate_.push_back(slot);
+  return true;
+}
+
+void Gma::EvaluateQuery(Slot slot, UserQuery* uq) {
   ++stats_.evaluations;
   // Member scratch: cleared per evaluation, capacity reused across the
   // many evaluations a timestamp triggers.
@@ -93,17 +111,10 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
     cand.Offer(obj.id, std::abs(obj.t() - uq->pos.t) * qe.weight);
   }
 
-  struct Touch {
-    EdgeId edge;
-    double enter_dist;
-    NodeId enter_node;
-  };
-  std::vector<Touch> touched;
-  struct Reached {
-    NodeId node;
-    double dist;
-  };
-  std::vector<Reached> reached;
+  std::vector<Touch>& touched = touched_;
+  std::vector<Reached>& reached = reached_;
+  touched.clear();
+  reached.clear();
 
   // Offset from the query to the sequence node with index `ni` along the
   // query's own edge. ForwardOriented: edge.u == seq.nodes[j].
@@ -171,15 +182,16 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
   // intervals are padded against floating-point rounding — a 1-ulp miss
   // here would silently drop the update that evicts the k-th NN.
   constexpr double kIntervalPad = 1e-9;
-  ClearInfluence(id, uq);
-  std::unordered_map<EdgeId, Interval> intervals;
+  ClearInfluence(slot, uq);
+  std::vector<EdgeInterval>& intervals = intervals_;
+  intervals.clear();
   {
     // Query's own edge.
     const double radius_t =
         qe.weight > 0.0 ? uq->bound / qe.weight + kIntervalPad : kInfDist;
     Interval iv{std::max(0.0, uq->pos.t - radius_t),
                 std::min(1.0, uq->pos.t + radius_t)};
-    intervals.emplace(query_edge, iv);
+    intervals.push_back(EdgeInterval{query_edge, iv});
   }
   for (const Touch& t : touched) {
     const double reach = uq->bound - t.enter_dist;
@@ -193,18 +205,22 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
             : 1.0;
     const Interval iv = ed.u == t.enter_node ? Interval{0.0, frac}
                                              : Interval{1.0 - frac, 1.0};
-    auto [it, inserted] = intervals.emplace(t.edge, iv);
-    if (!inserted) {
-      // Same edge reached from both directions (cycles): keep the hull —
-      // conservative but safe for filtering.
-      it->second.lo = std::min(it->second.lo, iv.lo);
-      it->second.hi = std::max(it->second.hi, iv.hi);
-    }
+    intervals.push_back(EdgeInterval{t.edge, iv});
   }
-  uq->covered.reserve(intervals.size());
-  // cknn-lint: allow(unordered-iter) keyed il_ writes; covered is used as a set
-  for (const auto& [e, iv] : intervals) {
-    il_[e][id] = iv;
+  // One interval per edge. An edge reached from both directions (cycles)
+  // keeps the hull — conservative but safe for filtering.
+  std::sort(intervals.begin(), intervals.end(),
+            [](const EdgeInterval& a, const EdgeInterval& b) {
+              return a.edge < b.edge;
+            });
+  for (std::size_t i = 0; i < intervals.size();) {
+    const EdgeId e = intervals[i].edge;
+    Interval hull = intervals[i].reach;
+    for (++i; i < intervals.size() && intervals[i].edge == e; ++i) {
+      hull.lo = std::min(hull.lo, intervals[i].reach.lo);
+      hull.hi = std::max(hull.hi, intervals[i].reach.hi);
+    }
+    il_[e].push_back(Influence{slot, hull});
     uq->covered.push_back(e);
   }
   uq->reached_nodes.clear();
@@ -216,7 +232,8 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
 }
 
 Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
-  std::unordered_set<QueryId> to_evaluate;
+  ++pass_;
+  to_evaluate_.clear();
 
   // Fig. 12 line 5: maintain the active-node NN sets with the IMA engine
   // (this also applies the edge updates to this monitor's network view).
@@ -231,54 +248,54 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
   // holds this timestamp's moves (the server applies them first), so the
   // node would absorb a change that the engine pass then never reports to
   // the node's other queries.
-  // cknn-lint: allow(unordered-iter) batch.queries is a vector (name collision)
   for (const QueryUpdate& qu : batch.queries) {
     switch (qu.kind) {
       case QueryUpdate::Kind::kTerminate: {
-        auto it = queries_.find(qu.id);
-        if (it == queries_.end()) {
+        const Slot slot = queries_.SlotOf(qu.id);
+        if (slot == Queries::kNoSlot) {
           return Status::NotFound("terminate for unknown query");
         }
-        ClearInfluence(qu.id, &it->second);
-        DetachFromEndpoints(qu.id, &it->second);
-        queries_.erase(it);
+        ClearInfluence(slot, &queries_[slot]);
+        DetachFromEndpoints(slot, &queries_[slot]);
+        queries_.Erase(slot);
         break;
       }
       case QueryUpdate::Kind::kMove: {
-        auto it = queries_.find(qu.id);
-        if (it == queries_.end()) {
+        const Slot slot = queries_.SlotOf(qu.id);
+        if (slot == Queries::kNoSlot) {
           return Status::NotFound("move for unknown query");
         }
-        UserQuery& uq = it->second;
+        UserQuery& uq = queries_[slot];
         if (qu.pos.edge >= net_->NumEdges()) {
           return Status::InvalidArgument("move onto unknown edge");
         }
         const SequenceId new_seq = st_->SequenceOf(qu.pos.edge);
         if (new_seq != uq.seq) {
-          DetachFromEndpoints(qu.id, &uq);
+          DetachFromEndpoints(slot, &uq);
           uq.seq = new_seq;
           uq.pos = qu.pos;
-          AttachToEndpoints(qu.id, &uq);
+          AttachToEndpoints(slot, &uq);
         } else {
           uq.pos = qu.pos;
         }
-        to_evaluate.insert(qu.id);
+        Queue(slot);
         break;
       }
       case QueryUpdate::Kind::kInstall: {
-        if (queries_.count(qu.id) != 0) {
+        if (queries_.SlotOf(qu.id) != Queries::kNoSlot) {
           return Status::AlreadyExists("query id already monitored");
         }
         if (qu.k < 1) return Status::InvalidArgument("k must be >= 1");
         if (qu.pos.edge >= net_->NumEdges()) {
           return Status::InvalidArgument("install on unknown edge");
         }
-        UserQuery& uq = queries_[qu.id];
+        const Slot slot = queries_.Insert(qu.id).first;
+        UserQuery& uq = queries_[slot];
         uq.pos = qu.pos;
         uq.k = qu.k;
         uq.seq = st_->SequenceOf(qu.pos.edge);
-        AttachToEndpoints(qu.id, &uq);
-        to_evaluate.insert(qu.id);
+        AttachToEndpoints(slot, &uq);
+        Queue(slot);
         break;
       }
     }
@@ -287,22 +304,19 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
   // Fig. 12 lines 6-15: determine the actually affected user queries.
   for (QueryId node_as_query : changed_nodes) {
     const NodeId n = static_cast<NodeId>(node_as_query);
-    auto it = active_.find(n);
-    if (it == active_.end()) continue;
-    // cknn-lint: allow(unordered-iter) set insert + counter, order-free
-    for (QueryId q : it->second.queries) {
-      const UserQuery& uq = queries_.at(q);
-      if (std::find(uq.reached_nodes.begin(), uq.reached_nodes.end(), n) !=
-          uq.reached_nodes.end()) {
-        if (to_evaluate.insert(q).second) ++stats_.affected_by_node_change;
+    const ActiveNode* an = active_.Find(n);
+    if (an == nullptr) continue;
+    for (Slot q : an->queries) {
+      const std::vector<NodeId>& reached = queries_[q].reached_nodes;
+      if (std::find(reached.begin(), reached.end(), n) != reached.end()) {
+        if (Queue(q)) ++stats_.affected_by_node_change;
       }
     }
   }
   auto mark_point = [&](const NetworkPoint& p) {
-    // cknn-lint: allow(unordered-iter) set insert + counter, order-free
-    for (const auto& [q, iv] : il_[p.edge]) {
-      if (p.t >= iv.lo && p.t <= iv.hi) {
-        if (to_evaluate.insert(q).second) ++stats_.affected_by_object;
+    for (const Influence& in : il_[p.edge]) {
+      if (p.t >= in.reach.lo && p.t <= in.reach.hi) {
+        if (Queue(in.query)) ++stats_.affected_by_object;
       }
     }
   };
@@ -311,41 +325,68 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
     if (u.new_pos.has_value()) mark_point(*u.new_pos);
   }
   for (const EdgeUpdate& u : batch.edges) {
-    // cknn-lint: allow(unordered-iter) set insert + counter, order-free
-    for (const auto& [q, iv] : il_[u.edge]) {
-      (void)iv;
-      if (to_evaluate.insert(q).second) ++stats_.affected_by_edge;
+    for (const Influence& in : il_[u.edge]) {
+      if (Queue(in.query)) ++stats_.affected_by_edge;
     }
   }
 
   // Fig. 12 lines 16-17: recompute each affected or new query.
-  // cknn-lint: allow(unordered-iter) per-query recompute into (q)-keyed state
-  for (QueryId q : to_evaluate) {
-    auto it = queries_.find(q);
-    if (it == queries_.end()) continue;  // Installed then terminated, etc.
-    EvaluateQuery(q, &it->second);
+  for (Slot q : to_evaluate_) {
+    if (!queries_.Live(q)) continue;  // Queued, then terminated.
+    EvaluateQuery(q, &queries_[q]);
   }
   return Status::OK();
 }
 
+Status Gma::CheckInvariants() const {
+  std::vector<Slot> listed;
+  for (EdgeId e = 0; e < il_.size(); ++e) {
+    listed.clear();
+    for (const Influence& in : il_[e]) listed.push_back(in.query);
+    std::sort(listed.begin(), listed.end());
+    // A repeated query would be queued from a stale interval.
+    if (std::adjacent_find(listed.begin(), listed.end()) != listed.end()) {
+      return Status::Internal("GMA influence list names a query twice");
+    }
+    for (Slot q : listed) {
+      if (q >= queries_.NumSlots() || !queries_.Live(q)) {
+        return Status::Internal("GMA influence list holds a removed query");
+      }
+      const std::vector<EdgeId>& covered = queries_[q].covered;
+      if (std::find(covered.begin(), covered.end(), e) == covered.end()) {
+        return Status::Internal("GMA influence entry without covered edge");
+      }
+    }
+  }
+  Status status = Status::OK();
+  queries_.ForEach([&](Slot q, const UserQuery& uq) {
+    for (EdgeId e : uq.covered) {
+      if (!status.ok()) return;
+      const std::vector<Influence>& list = il_[e];
+      if (std::none_of(list.begin(), list.end(),
+                       [q](const Influence& in) { return in.query == q; })) {
+        status = Status::Internal("GMA covered edge without influence entry");
+      }
+    }
+  });
+  return status;
+}
+
 std::size_t Gma::MemoryBytes() const {
-  std::size_t bytes = engine_.MemoryBytes() +
-                      HashMapBytes(queries_) + HashMapBytes(active_) +
+  std::size_t bytes = engine_.MemoryBytes() + queries_.MemoryBytes() +
+                      active_.MemoryBytes() +
                       il_.capacity() * sizeof(il_[0]) +
-                      eval_cand_.MemoryBytes();
-  // cknn-lint: allow(unordered-iter) commutative byte sum
-  for (const auto& [id, uq] : queries_) {
-    (void)id;
+                      eval_cand_.MemoryBytes() + VectorBytes(touched_) +
+                      VectorBytes(reached_) + VectorBytes(intervals_) +
+                      VectorBytes(to_evaluate_);
+  queries_.ForEach([&](Slot, const UserQuery& uq) {
     bytes += VectorBytes(uq.result) + VectorBytes(uq.reached_nodes) +
              VectorBytes(uq.covered);
-  }
-  // cknn-lint: allow(unordered-iter) commutative byte sum
-  for (const auto& [n, an] : active_) {
-    (void)n;
-    bytes += HashSetBytes(an.queries);
-  }
-  // cknn-lint: allow(unordered-iter) commutative byte sum
-  for (const auto& m : il_) bytes += HashMapBytes(m);
+  });
+  active_.ForEach([&](Slot, const ActiveNode& an) {
+    bytes += VectorBytes(an.queries);
+  });
+  for (const std::vector<Influence>& list : il_) bytes += VectorBytes(list);
   return bytes;
 }
 

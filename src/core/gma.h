@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/ima.h"
@@ -14,6 +12,7 @@
 #include "src/core/updates.h"
 #include "src/graph/road_network.h"
 #include "src/graph/sequences.h"
+#include "src/util/slot_table.h"
 
 namespace cknn {
 
@@ -37,6 +36,10 @@ namespace cknn {
 /// changes of an active node only re-evaluate the queries whose walks
 /// reached that node within their bound. Affected queries are re-evaluated
 /// from scratch (Fig. 12 line 17) — the walk is O(reach + k).
+///
+/// As in the IMA engine the bookkeeping is flat: user queries and active
+/// nodes live in dense slots (`SlotTable`), and the influence lists and
+/// node memberships are short vectors of query slots.
 class Gma : public Monitor {
  public:
   struct Stats {
@@ -65,6 +68,12 @@ class Gma : public Monitor {
   std::string_view name() const override { return "GMA"; }
 
   const SequenceTable& sequences() const { return *st_; }
+  /// Verifies the user-query bookkeeping: every influence entry names a
+  /// live query that covers the edge, at most once per list, and every
+  /// covered edge lists its query. O(everything); for tests and
+  /// diagnostics (the active nodes' engine has its own CheckInvariants).
+  Status CheckInvariants() const;
+
   /// Number of currently active (monitored) intersection nodes.
   std::size_t NumActiveNodes() const { return active_.size(); }
   const Stats& stats() const { return stats_; }
@@ -86,13 +95,40 @@ class Gma : public Monitor {
     double bound = kInfDist;
     /// Endpoint nodes whose NN set the walk consumed within the bound.
     std::vector<NodeId> reached_nodes;
-    /// Edges holding this query in their influence list.
+    /// Edges holding this query in their influence list, each once.
     std::vector<EdgeId> covered;
+    /// Timestamp pass that last queued this query for evaluation.
+    std::uint64_t queued_pass = 0;
   };
 
+  using Queries = SlotTable<QueryId, UserQuery>;
+  using Slot = Queries::Slot;
+
   struct ActiveNode {
-    std::unordered_set<QueryId> queries;  // n.Q
-    int k = 0;                            // n.k
+    std::vector<Slot> queries;  // n.Q, each query once
+    int k = 0;                  // n.k
+  };
+
+  /// One entry of an edge's influence list.
+  struct Influence {
+    Slot query;
+    Interval reach;
+  };
+
+  /// Evaluation scratch: an edge the walk entered, a sequence endpoint it
+  /// reached, and an edge's reached interval before deduplication.
+  struct Touch {
+    EdgeId edge;
+    double enter_dist;
+    NodeId enter_node;
+  };
+  struct Reached {
+    NodeId node;
+    double dist;
+  };
+  struct EdgeInterval {
+    EdgeId edge;
+    Interval reach;
   };
 
   /// True iff `n` can be an active node (an intersection; terminals and
@@ -101,20 +137,24 @@ class Gma : public Monitor {
 
   /// Registers `q` at the active candidates among its sequence endpoints,
   /// creating/growing monitored nodes as needed.
-  void AttachToEndpoints(QueryId id, UserQuery* uq);
+  void AttachToEndpoints(Slot slot, UserQuery* uq);
   /// Inverse of AttachToEndpoints (shrinks / deactivates nodes).
-  void DetachFromEndpoints(QueryId id, UserQuery* uq);
+  void DetachFromEndpoints(Slot slot, UserQuery* uq);
 
-  /// Recomputes n.k for an active node after membership change; returns
-  /// true if the node's monitored result may have changed shape.
+  /// Recomputes n.k for an active node after membership change,
+  /// deactivating it when no query is left.
   void SyncNodeK(NodeId n, ActiveNode* an);
 
   /// From-scratch evaluation of one query: bidirectional sequence walk plus
   /// endpoint NN merge; refreshes result, bound, influence intervals.
-  void EvaluateQuery(QueryId id, UserQuery* uq);
+  void EvaluateQuery(Slot slot, UserQuery* uq);
 
   /// Removes q from the influence lists of its covered edges.
-  void ClearInfluence(QueryId id, UserQuery* uq);
+  void ClearInfluence(Slot slot, UserQuery* uq);
+
+  /// Queues a query for this pass's evaluation; returns false if it
+  /// already was.
+  bool Queue(Slot slot);
 
   RoadNetwork* net_;
   const ObjectTable* objects_;
@@ -122,12 +162,21 @@ class Gma : public Monitor {
   /// GMA monitor of this graph (cached on the SharedTopology).
   std::shared_ptr<const SequenceTable> st_;
   ImaEngine engine_;  // Monitors active nodes, keyed by NodeId.
-  std::unordered_map<QueryId, UserQuery> queries_;
-  std::unordered_map<NodeId, ActiveNode> active_;
-  /// Per-edge influence lists of *user queries* with reached intervals.
-  std::vector<std::unordered_map<QueryId, Interval>> il_;
+  Queries queries_;
+  SlotTable<NodeId, ActiveNode> active_;
+  /// Per-edge influence lists of *user queries* with reached intervals:
+  /// unordered, each query at most once, erased by swap with the last.
+  std::vector<std::vector<Influence>> il_;
   /// Scratch accumulator for EvaluateQuery (cleared per evaluation).
   CandidateSet eval_cand_;
+  /// Reused per-evaluation scratch (cleared per use).
+  std::vector<Touch> touched_;
+  std::vector<Reached> reached_;
+  std::vector<EdgeInterval> intervals_;
+  /// Slots queued for evaluation in the current ProcessTimestamp, each
+  /// once (UserQuery::queued_pass == pass_).
+  std::vector<Slot> to_evaluate_;
+  std::uint64_t pass_ = 0;
   Stats stats_;
 };
 

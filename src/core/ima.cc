@@ -18,7 +18,7 @@ ImaEngine::ImaEngine(RoadNetwork* net, const ObjectTable* objects)
 Status ImaEngine::AddQuery(QueryId id, const ExpansionSource& source,
                            int k) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (entries_.count(id) != 0) {
+  if (HasQuery(id)) {
     return Status::AlreadyExists("query id already monitored");
   }
   if (!source.at_node && source.point.edge >= net_->NumEdges()) {
@@ -27,71 +27,88 @@ Status ImaEngine::AddQuery(QueryId id, const ExpansionSource& source,
   if (source.at_node && source.node >= net_->NumNodes()) {
     return Status::InvalidArgument("query anchored at unknown node");
   }
-  Entry& entry = entries_[id];
+  const Slot slot = entries_.Insert(id).first;
+  Entry& entry = entries_[slot];
   entry.source = source;
   entry.k = k;
-  RecomputeEntry(id, &entry);
+  RecomputeEntry(slot, &entry);
   return Status::OK();
 }
 
 Status ImaEngine::RemoveQuery(QueryId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return Status::NotFound("unknown query id");
-  for (EdgeId e : it->second.covered) influence_[e].erase(id);
-  entries_.erase(it);
+  const Slot slot = entries_.SlotOf(id);
+  if (slot == Entries::kNoSlot) return Status::NotFound("unknown query id");
+  entries_[slot].covered.ForEach(
+      [&](const CoveredEdge& c) { Uninfluence(c.edge, slot); });
+  entries_.Erase(slot);
   return Status::OK();
 }
 
 Result<bool> ImaEngine::SetK(QueryId id, int k) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return Status::NotFound("unknown query id");
-  Entry& entry = it->second;
+  const Slot slot = entries_.SlotOf(id);
+  if (slot == Entries::kNoSlot) return Status::NotFound("unknown query id");
+  Entry& entry = entries_[slot];
   if (entry.k == k) return false;
   entry.k = k;
   // Growing k continues the expansion from the live frontier; shrinking
   // only moves the bound.
-  return RebuildEntry(id, &entry);
+  return RebuildEntry(slot, &entry);
 }
 
 const std::vector<Neighbor>* ImaEngine::ResultOf(QueryId id) const {
-  auto it = entries_.find(id);
-  return it == entries_.end() ? nullptr : &it->second.result;
+  const Entry* entry = entries_.Find(id);
+  return entry == nullptr ? nullptr : &entry->result;
 }
 
 double ImaEngine::BoundOf(QueryId id) const {
-  auto it = entries_.find(id);
-  CKNN_CHECK(it != entries_.end());
-  return it->second.state.bound();
+  const Entry* entry = entries_.Find(id);
+  CKNN_CHECK(entry != nullptr);
+  return entry->state.bound();
 }
 
 int ImaEngine::KOf(QueryId id) const {
-  auto it = entries_.find(id);
-  CKNN_CHECK(it != entries_.end());
-  return it->second.k;
+  const Entry* entry = entries_.Find(id);
+  CKNN_CHECK(entry != nullptr);
+  return entry->k;
 }
 
 const ExpansionState* ImaEngine::StateOf(QueryId id) const {
-  auto it = entries_.find(id);
-  return it == entries_.end() ? nullptr : &it->second.state;
+  const Entry* entry = entries_.Find(id);
+  return entry == nullptr ? nullptr : &entry->state;
+}
+
+std::vector<QueryId> ImaEngine::InfluenceOf(EdgeId e) const {
+  std::vector<QueryId> ids;
+  ids.reserve(influence_[e].size());
+  for (Slot slot : influence_[e]) ids.push_back(entries_.IdAt(slot));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void ImaEngine::Uninfluence(EdgeId e, Slot slot) {
+  std::vector<Slot>& list = influence_[e];
+  const auto it = std::find(list.begin(), list.end(), slot);
+  CKNN_DCHECK(it != list.end());
+  *it = list.back();
+  list.pop_back();
 }
 
 template <typename Fn>
 void ImaEngine::ForEachInfluenced(EdgeId e, Fn&& fn) {
   if (use_influence_filter_) {
-    // Snapshot: fn may trigger coverage changes that edit influence_[e].
-    // cknn-lint: allow(unordered-iter) handlers write only (id)-keyed state
-    std::vector<QueryId> ids(influence_[e].begin(), influence_[e].end());
-    for (QueryId id : ids) {
-      auto it = entries_.find(id);
-      CKNN_DCHECK(it != entries_.end());
-      fn(id, &it->second);
+    // Walked in place: every handler leaves coverage edits to the rebuild
+    // pass (pending_uncover), so the list cannot change under the walk.
+    const std::vector<Slot>& list = influence_[e];
+    const std::size_t n = list.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(&entries_[list[i]]);
+      CKNN_DCHECK(list.size() == n);
     }
   } else {
-    // cknn-lint: allow(unordered-iter) handlers write only (id)-keyed state
-    for (auto& [id, entry] : entries_) {
-      if (entry.state.EdgeTouched(*net_, e)) fn(id, &entry);
-    }
+    entries_.ForEachMutable([&](Slot, Entry& entry) {
+      if (entry.state.EdgeTouched(*net_, e)) fn(&entry);
+    });
   }
 }
 
@@ -122,31 +139,35 @@ void ImaEngine::RederiveFrontierNode(Entry* entry, NodeId n) {
   }
 }
 
-void ImaEngine::RepairAfterRemoval(QueryId id, Entry* entry,
+void ImaEngine::RepairAfterRemoval(Entry* entry,
                                    const std::vector<NodeId>& removed) {
   if (removed.empty()) return;
-  std::unordered_set<NodeId> gone(removed.begin(), removed.end());
+  std::vector<NodeId>& gone = node_scratch_;
+  gone.assign(removed.begin(), removed.end());
+  std::sort(gone.begin(), gone.end());
+  const auto is_gone = [&gone](NodeId n) {
+    return std::binary_search(gone.begin(), gone.end(), n);
+  };
   // Tentative labels that pointed into the removed region are stale
   // (possibly stale-low); drop and re-derive them.
   std::vector<NodeId> to_rederive(removed.begin(), removed.end());
   entry->frontier.pending.ForEach([&](const Frontier::Label& label) {
-    if (label.parent != kInvalidNode && gone.count(label.parent) != 0) {
+    if (label.parent != kInvalidNode && is_gone(label.parent)) {
       to_rederive.push_back(label.node);
     }
   });
   for (NodeId n : to_rederive) {
-    if (gone.count(n) == 0) entry->frontier.Erase(n);
+    if (!is_gone(n)) entry->frontier.Erase(n);
   }
   for (NodeId n : to_rederive) RederiveFrontierNode(entry, n);
   // Every incident edge's objects need re-derivation (their stored
   // distances may have gone through removed nodes), and the edges may have
   // left the covered region — but influence-list removal is deferred so
   // that this timestamp's object updates still reach the query.
-  (void)id;
   for (NodeId r : removed) {
     for (const RoadNetwork::Incidence& inc : net_->Incidences(r)) {
-      entry->rescan_edges.insert(inc.edge);
-      entry->pending_uncover.insert(inc.edge);
+      entry->rescan_edges.push_back(inc.edge);
+      entry->pending_uncover.push_back(inc.edge);
     }
   }
 }
@@ -156,7 +177,7 @@ void ImaEngine::RepairAfterAdjust(Entry* entry,
   for (NodeId a : adjusted) {
     const double d = *entry->state.NodeDistance(a);
     for (const RoadNetwork::Incidence& inc : net_->Incidences(a)) {
-      entry->rescan_edges.insert(inc.edge);
+      entry->rescan_edges.push_back(inc.edge);
       if (!entry->state.IsSettled(inc.neighbor)) {
         entry->frontier.Relax(entry->state, inc.neighbor,
                               d + net_->WeightOf(inc.edge), a, inc.edge);
@@ -188,7 +209,7 @@ void ImaEngine::RepairEdgeKeys(Entry* entry, EdgeId edge) {
 void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
   const EdgeId e = update.edge;
   const double new_w = update.new_weight;
-  ForEachInfluenced(e, [&](QueryId id, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (entry->needs_recompute) return;
     if (!use_tree_reuse_) {
       entry->needs_recompute = true;
@@ -209,13 +230,13 @@ void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
       const double threshold = *entry->state.NodeDistance(*child);
       const auto removed =
           entry->state.PruneOthersBeyond(*child, threshold);
-      RepairAfterRemoval(id, entry, removed);
+      RepairAfterRemoval(entry, removed);
       // The nodes pruned beside the subtree may be nearer than its deep
       // end. The non-tree rule below bounds a path through an unsettled
       // endpoint by the settled one, which is sound only when no
       // unsettled node is nearer than a settled node; so a later decrease
       // in this timestamp needs that shape back.
-      RestorePrefix(id, entry);
+      RestorePrefix(entry);
     } else {
       // Covered non-tree edge: a shortcut may improve anything farther than
       // the cheapest way through it.
@@ -229,30 +250,30 @@ void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
       }
       if (min_end < kInfDist) {
         const auto removed = entry->state.PruneBeyond(min_end + new_w);
-        RepairAfterRemoval(id, entry, removed);
+        RepairAfterRemoval(entry, removed);
       }
     }
-    entry->rescan_edges.insert(e);
+    entry->rescan_edges.push_back(e);
     entry->affected = true;
   });
   CKNN_CHECK(net_->SetWeight(e, new_w).ok());
-  ForEachInfluenced(e, [&](QueryId, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (!entry->needs_recompute) RepairEdgeKeys(entry, e);
   });
 }
 
-void ImaEngine::RestorePrefix(QueryId id, Entry* entry) {
+void ImaEngine::RestorePrefix(Entry* entry) {
   if (entry->frontier.heap.empty()) return;
   // Every frontier key is a path length through a settled node, and every
   // path to an unsettled node leaves the settled set through a frontier
   // node, so the nearest key is the nearest unsettled distance.
   const double nearest = entry->frontier.heap.Top().key;
-  RepairAfterRemoval(id, entry, entry->state.PruneBeyond(nearest));
+  RepairAfterRemoval(entry, entry->state.PruneBeyond(nearest));
 }
 
 void ImaEngine::ApplyEdgeIncrease(const EdgeUpdate& update) {
   const EdgeId e = update.edge;
-  ForEachInfluenced(e, [&](QueryId id, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (entry->needs_recompute) return;
     if (!use_tree_reuse_) {
       entry->needs_recompute = true;
@@ -266,23 +287,23 @@ void ImaEngine::ApplyEdgeIncrease(const EdgeUpdate& update) {
       // Fig. 8: paths through the more expensive edge may no longer be
       // optimal anywhere below it.
       const auto removed = entry->state.PruneSubtree(*child);
-      RepairAfterRemoval(id, entry, removed);
+      RepairAfterRemoval(entry, removed);
     }
     // Covered non-tree edge: settled distances cannot change (their
     // shortest paths avoid e), but objects *on* e shift with the weight.
-    entry->rescan_edges.insert(e);
+    entry->rescan_edges.push_back(e);
     entry->affected = true;
   });
   CKNN_CHECK(net_->SetWeight(e, update.new_weight).ok());
-  ForEachInfluenced(e, [&](QueryId, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (!entry->needs_recompute) RepairEdgeKeys(entry, e);
   });
 }
 
 void ImaEngine::ApplyMove(const MoveRequest& move) {
-  auto it = entries_.find(move.id);
-  CKNN_CHECK(it != entries_.end());
-  Entry& entry = it->second;
+  Entry* found = entries_.Find(move.id);
+  CKNN_CHECK(found != nullptr);
+  Entry& entry = *found;
   CKNN_CHECK(!entry.source.at_node);  // Anchored queries never move.
   const NetworkPoint target = move.pos;
   CKNN_CHECK(target.edge < net_->NumEdges());
@@ -350,7 +371,7 @@ void ImaEngine::ApplyMove(const MoveRequest& move) {
 void ImaEngine::ApplyObjectUpdate(const ObjectUpdate& update) {
   bool routed = false;
   if (update.old_pos.has_value()) {
-    ForEachInfluenced(update.old_pos->edge, [&](QueryId, Entry* entry) {
+    ForEachInfluenced(update.old_pos->edge, [&](Entry* entry) {
       if (entry->needs_recompute) return;
       auto removed = entry->known.Remove(update.id);
       if (removed.has_value()) {
@@ -364,7 +385,7 @@ void ImaEngine::ApplyObjectUpdate(const ObjectUpdate& update) {
   // already applied the whole batch: routing above and below never reads
   // the table, so the apply point is free to move before the batch.
   if (update.new_pos.has_value()) {
-    ForEachInfluenced(update.new_pos->edge, [&](QueryId, Entry* entry) {
+    ForEachInfluenced(update.new_pos->edge, [&](Entry* entry) {
       if (entry->needs_recompute) return;
       auto d = entry->state.PointDistance(*net_, *update.new_pos);
       if (d.has_value()) {
@@ -401,17 +422,16 @@ std::vector<QueryId> ImaEngine::ProcessUpdates(
   for (const ObjectUpdate& u : object_updates) ApplyObjectUpdate(u);
 
   std::vector<QueryId> changed;
-  // cknn-lint: allow(unordered-iter) id-keyed work; changed is sorted below
-  for (auto& [id, entry] : entries_) {
+  entries_.ForEachMutable([&](Slot slot, Entry& entry) {
     if (entry.needs_recompute) {
-      if (RecomputeEntry(id, &entry)) changed.push_back(id);
+      if (RecomputeEntry(slot, &entry)) changed.push_back(entries_.IdAt(slot));
     } else if (entry.affected || entry.full_refresh ||
                !entry.rescan_edges.empty()) {
-      if (RebuildEntry(id, &entry)) changed.push_back(id);
+      if (RebuildEntry(slot, &entry)) changed.push_back(entries_.IdAt(slot));
     }
-  }
-  // entries_ iterates in hash order; canonicalize the API surface so no
-  // caller can pick up a dependence on it.
+  });
+  // Slot order follows the install history, not the ids; canonicalize the
+  // API surface so no caller can pick up a dependence on it.
   std::sort(changed.begin(), changed.end());
   return changed;
 }
@@ -427,9 +447,17 @@ void ImaEngine::RescanEdge(Entry* entry, EdgeId e) {
   }
 }
 
+void ImaEngine::RescanPending(Entry* entry) {
+  std::vector<EdgeId>& edges = entry->rescan_edges;
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  for (EdgeId e : edges) RescanEdge(entry, e);
+  edges.clear();
+}
+
 void ImaEngine::RefreshKnownAll(Entry* entry) {
-  std::vector<ObjectId> ids;
-  ids.reserve(entry->known.size());
+  std::vector<ObjectId>& ids = object_scratch_;
+  ids.clear();
   entry->known.ForEachCandidate(
       [&](ObjectId id, double) { ids.push_back(id); });
   for (ObjectId id : ids) {
@@ -444,34 +472,39 @@ void ImaEngine::RefreshKnownAll(Entry* entry) {
   }
 }
 
-void ImaEngine::RebuildCoverage(QueryId id, Entry* entry) {
-  std::unordered_set<EdgeId> covered;
-  covered.reserve(entry->state.NumSettled() * 3 + 1);
-  if (!entry->source.at_node) covered.insert(entry->source.point.edge);
+void ImaEngine::RebuildCoverage(Slot slot, Entry* entry) {
+  std::vector<EdgeId>& edges = edge_scratch_;
+  edges.clear();
+  if (!entry->source.at_node) edges.push_back(entry->source.point.edge);
   entry->state.ForEachSettled(
       [&](NodeId n, const ExpansionState::SettledInfo& info) {
         (void)info;
         for (const RoadNetwork::Incidence& inc : net_->Incidences(n)) {
-          covered.insert(inc.edge);
+          edges.push_back(inc.edge);
         }
       });
-  // cknn-lint: allow(unordered-iter) keyed set edits, order-free
-  for (EdgeId e : entry->covered) {
-    if (covered.count(e) == 0) influence_[e].erase(id);
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  // EraseIf tests an erased edge exactly once, so each dropped edge
+  // leaves its influence list once.
+  entry->covered.EraseIf([&](const CoveredEdge& c) {
+    if (std::binary_search(edges.begin(), edges.end(), c.edge)) return false;
+    Uninfluence(c.edge, slot);
+    return true;
+  });
+  for (EdgeId e : edges) {
+    if (entry->covered.Insert(CoveredEdge{e}).second) {
+      influence_[e].push_back(slot);
+    }
   }
-  // cknn-lint: allow(unordered-iter) keyed set edits, order-free
-  for (EdgeId e : covered) {
-    if (entry->covered.count(e) == 0) influence_[e].insert(id);
-  }
-  entry->covered = std::move(covered);
 }
 
-void ImaEngine::GrowCoverage(QueryId id, Entry* entry,
+void ImaEngine::GrowCoverage(Slot slot, Entry* entry,
                              const std::vector<NodeId>& fresh) {
   for (NodeId n : fresh) {
     for (const RoadNetwork::Incidence& inc : net_->Incidences(n)) {
-      if (entry->covered.insert(inc.edge).second) {
-        influence_[inc.edge].insert(id);
+      if (entry->covered.Insert(CoveredEdge{inc.edge}).second) {
+        influence_[inc.edge].push_back(slot);
       }
     }
   }
@@ -486,39 +519,41 @@ bool ImaEngine::ExtractResult(Entry* entry) {
   return changed;
 }
 
-bool ImaEngine::RebuildEntry(QueryId id, Entry* entry) {
+bool ImaEngine::RebuildEntry(Slot slot, Entry* entry) {
   ++stats_.rebuilds;
   if (entry->full_refresh) {
     RefreshKnownAll(entry);
+    entry->rescan_edges.clear();
   } else {
-    for (EdgeId e : entry->rescan_edges) RescanEdge(entry, e);
+    RescanPending(entry);
   }
-  entry->rescan_edges.clear();
   std::vector<NodeId> fresh;
   ExpandToK(*net_, *objects_, entry->k, &entry->state, &entry->frontier,
             &entry->known, &fresh);
   if (entry->full_refresh) {
-    ShrinkTree(id, entry);
-    RebuildCoverage(id, entry);
+    ShrinkTree(entry);
+    RebuildCoverage(slot, entry);
     entry->full_refresh = false;
     entry->pending_uncover.clear();
     return ExtractResult(entry);
   }
-  GrowCoverage(id, entry, fresh);
-  ShrinkTree(id, entry);
+  GrowCoverage(slot, entry, fresh);
+  ShrinkTree(entry);
   // Deferred coverage shrinking: edges whose region was pruned and not
-  // re-settled by the expansion leave the influence lists now.
-  // cknn-lint: allow(unordered-iter) keyed erases, order-free
+  // re-settled by the expansion leave the influence lists now (a repeated
+  // edge is no longer covered the second time).
   for (EdgeId e : entry->pending_uncover) {
-    if (!entry->state.EdgeTouched(*net_, e)) {
-      if (entry->covered.erase(e) > 0) influence_[e].erase(id);
+    if (entry->state.EdgeTouched(*net_, e)) continue;
+    if (CoveredEdge* c = entry->covered.Find(e)) {
+      entry->covered.Erase(c);
+      Uninfluence(e, slot);
     }
   }
   entry->pending_uncover.clear();
   return ExtractResult(entry);
 }
 
-void ImaEngine::ShrinkTree(QueryId id, Entry* entry) {
+void ImaEngine::ShrinkTree(Entry* entry) {
   // Lazy shrink (the paper's tree shrinking with hysteresis): once the
   // tree radius exceeds the bound by more than the slack, prune the excess
   // so influence lists don't ratchet up under weight wobble. The tree also
@@ -534,13 +569,12 @@ void ImaEngine::ShrinkTree(QueryId id, Entry* entry) {
     keep_radius = std::min(keep_radius, entry->frontier.heap.Top().key);
   }
   if (entry->state.max_settled_dist() <= keep_radius) return;
-  RepairAfterRemoval(id, entry, entry->state.PruneBeyond(keep_radius));
-  for (EdgeId e : entry->rescan_edges) RescanEdge(entry, e);
-  entry->rescan_edges.clear();
+  RepairAfterRemoval(entry, entry->state.PruneBeyond(keep_radius));
+  RescanPending(entry);
   entry->state.set_max_settled_dist(keep_radius);
 }
 
-bool ImaEngine::RecomputeEntry(QueryId id, Entry* entry) {
+bool ImaEngine::RecomputeEntry(Slot slot, Entry* entry) {
   ++stats_.full_recomputes;
   if (entry->source.at_node) {
     entry->state.ResetToNode(entry->source.node);
@@ -555,84 +589,89 @@ bool ImaEngine::RecomputeEntry(QueryId id, Entry* entry) {
   entry->needs_recompute = false;
   ExpandToK(*net_, *objects_, entry->k, &entry->state, &entry->frontier,
             &entry->known);
-  RebuildCoverage(id, entry);
+  RebuildCoverage(slot, entry);
   return ExtractResult(entry);
 }
 
-
 Status ImaEngine::CheckInvariants() const {
   auto fail = [](std::string msg) { return Status::Internal(std::move(msg)); };
-  // cknn-lint: allow(unordered-iter) validation; any order finds a violation
-  for (const auto& [id, entry] : entries_) {
-    const std::string tag = "query " + std::to_string(id) + ": ";
+  const auto influences = [this](EdgeId e, Slot slot) {
+    const std::vector<Slot>& list = influence_[e];
+    return std::find(list.begin(), list.end(), slot) != list.end();
+  };
+  Status status = Status::OK();
+  entries_.ForEach([&](Slot slot, const Entry& entry) {
+    if (!status.ok()) return;
+    const std::string tag = "query " + std::to_string(entries_.IdAt(slot)) +
+                            ": ";
     // Expansion tree: parents settled, label arithmetic consistent.
-    Status tree_status = Status::OK();
     entry.state.ForEachSettled(
         [&](NodeId n, const ExpansionState::SettledInfo& info) {
           (void)n;
-          if (!tree_status.ok() || info.parent == kInvalidNode) return;
+          if (!status.ok() || info.parent == kInvalidNode) return;
           const auto* pinfo = entry.state.Info(info.parent);
           if (pinfo == nullptr) {
-            tree_status = fail(tag + "orphaned settled node");
+            status = fail(tag + "orphaned settled node");
             return;
           }
           const double want = pinfo->dist + net_->WeightOf(info.via_edge);
           if (std::abs(info.dist - want) > 1e-6 * (1.0 + want)) {
-            tree_status = fail(tag + "settled dist does not match its tree label");
+            status = fail(tag + "settled dist does not match its tree label");
           }
         });
-    if (!tree_status.ok()) return tree_status;
     // Frontier: pending parents settled, keys consistent with labels.
-    Status frontier_status = Status::OK();
     entry.frontier.pending.ForEach([&](const Frontier::Label& label) {
-      if (!frontier_status.ok()) return;
+      if (!status.ok()) return;
       if (entry.state.IsSettled(label.node)) {
-        frontier_status = fail(tag + "settled node still in frontier");
+        status = fail(tag + "settled node still in frontier");
         return;
       }
       if (label.parent != kInvalidNode &&
           !entry.state.IsSettled(label.parent)) {
-        frontier_status =
-            fail(tag + "frontier label points at unsettled parent");
+        status = fail(tag + "frontier label points at unsettled parent");
       }
     });
-    if (!frontier_status.ok()) return frontier_status;
     // Known set: objects exist, lie on influenced edges, distances valid.
-    Status known_status = Status::OK();
     entry.known.ForEachCandidate([&](ObjectId obj, double) {
-      if (!known_status.ok()) return;
+      if (!status.ok()) return;
       auto pos = objects_->Position(obj);
       if (!pos.ok()) {
-        known_status = fail(tag + "known object missing from table");
+        status = fail(tag + "known object missing from table");
         return;
       }
       const EdgeId e = pos->edge;
-      if (entry.covered.count(e) == 0 &&
-          entry.pending_uncover.count(e) == 0) {
-        known_status = fail(tag + "known object on uncovered edge");
+      if (entry.covered.Find(e) == nullptr &&
+          std::find(entry.pending_uncover.begin(),
+                    entry.pending_uncover.end(),
+                    e) == entry.pending_uncover.end()) {
+        status = fail(tag + "known object on uncovered edge");
         return;
       }
-      if (influence_[e].count(id) == 0) {
-        known_status = fail(tag + "known object's edge lost the influence entry");
+      if (!influences(e, slot)) {
+        status = fail(tag + "known object's edge lost the influence entry");
       }
     });
-    if (!known_status.ok()) return known_status;
     // Coverage <-> influence agreement.
-    // cknn-lint: allow(unordered-iter) validation; any order finds a violation
-    for (EdgeId e : entry.covered) {
-      if (influence_[e].count(id) == 0) {
-        return fail(tag + "covered edge without influence entry");
+    entry.covered.ForEach([&](const CoveredEdge& c) {
+      if (status.ok() && !influences(c.edge, slot)) {
+        status = fail(tag + "covered edge without influence entry");
       }
-    }
-  }
+    });
+  });
+  if (!status.ok()) return status;
+  std::vector<Slot> sorted;
   for (EdgeId e = 0; e < influence_.size(); ++e) {
-    // cknn-lint: allow(unordered-iter) validation; any order finds a violation
-    for (QueryId id : influence_[e]) {
-      auto it = entries_.find(id);
-      if (it == entries_.end()) {
+    sorted.assign(influence_[e].begin(), influence_[e].end());
+    std::sort(sorted.begin(), sorted.end());
+    // A repeated slot would route every update on the edge twice.
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return fail("influence list names a query twice");
+    }
+    for (Slot slot : sorted) {
+      if (slot >= entries_.NumSlots() || !entries_.Live(slot)) {
         return fail("influence list holds a removed query");
       }
-      if (it->second.covered.count(e) == 0) {
+      if (entries_[slot].covered.Find(e) == nullptr) {
         return fail("influence entry without covered edge");
       }
     }
@@ -641,18 +680,17 @@ Status ImaEngine::CheckInvariants() const {
 }
 
 std::size_t ImaEngine::MemoryBytes() const {
-  std::size_t bytes = HashMapBytes(entries_) +
-                      influence_.capacity() * sizeof(influence_[0]);
-  // cknn-lint: allow(unordered-iter) commutative byte sum
-  for (const auto& [id, entry] : entries_) {
-    (void)id;
+  std::size_t bytes = entries_.MemoryBytes() +
+                      influence_.capacity() * sizeof(influence_[0]) +
+                      VectorBytes(edge_scratch_) + VectorBytes(node_scratch_) +
+                      VectorBytes(object_scratch_);
+  entries_.ForEach([&](Slot, const Entry& entry) {
     bytes += entry.state.MemoryBytes() + entry.known.MemoryBytes() +
              entry.frontier.MemoryBytes() + VectorBytes(entry.result) +
-             HashSetBytes(entry.covered) + HashSetBytes(entry.rescan_edges) +
-             HashSetBytes(entry.pending_uncover);
-  }
-  // cknn-lint: allow(unordered-iter) commutative byte sum
-  for (const auto& il : influence_) bytes += HashSetBytes(il);
+             entry.covered.MemoryBytes() + VectorBytes(entry.rescan_edges) +
+             VectorBytes(entry.pending_uncover);
+  });
+  for (const std::vector<Slot>& list : influence_) bytes += VectorBytes(list);
   return bytes;
 }
 

@@ -2,8 +2,6 @@
 #define CKNN_CORE_IMA_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/expansion.h"
@@ -13,7 +11,9 @@
 #include "src/core/top_k.h"
 #include "src/core/updates.h"
 #include "src/graph/road_network.h"
+#include "src/util/flat_id_map.h"
 #include "src/util/result.h"
+#include "src/util/slot_table.h"
 
 namespace cknn {
 
@@ -26,8 +26,15 @@ namespace cknn {
 /// (`ExpansionState`), the persistent frontier (`Frontier` — the paper's
 /// marks), and the known set (`CandidateSet`: every object discovered in
 /// the covered region with its best known distance). Globally it owns the
-/// influence lists (edge -> ids of queries the edge affects), which route
+/// influence lists (edge -> queries the edge affects), which route
 /// updates to exactly the queries they can invalidate (Section 4.2).
+///
+/// The bookkeeping is flat, so routing an update allocates nothing and
+/// probes no hash node: the queries live in dense slots (`SlotTable`), an
+/// influence list is a short unordered vector of slots per edge (erased
+/// by swapping with its last element), and each query's covered edges
+/// are a `FlatIdMap`. Routing reaches a query by its slot, and the
+/// rebuild pass walks the slots in index order.
 ///
 /// Maintenance cost is proportional to the *invalidated region*, as in the
 /// paper:
@@ -76,7 +83,9 @@ class ImaEngine {
   /// changed.
   Result<bool> SetK(QueryId id, int k);
 
-  bool HasQuery(QueryId id) const { return entries_.count(id) != 0; }
+  bool HasQuery(QueryId id) const {
+    return entries_.SlotOf(id) != Entries::kNoSlot;
+  }
   std::size_t NumQueries() const { return entries_.size(); }
 
   /// Current result in (distance, id) order; nullptr if unknown.
@@ -92,16 +101,15 @@ class ImaEngine {
   /// nullptr if unknown.
   const ExpansionState* StateOf(QueryId id) const;
 
-  /// Influence list of an edge (inspection for tests/diagnostics).
-  const std::unordered_set<QueryId>& InfluenceOf(EdgeId e) const {
-    return influence_[e];
-  }
+  /// Ids of the queries on an edge's influence list, ascending
+  /// (inspection for tests/diagnostics).
+  std::vector<QueryId> InfluenceOf(EdgeId e) const;
 
   /// Known set of a query (inspection for tests/diagnostics); nullptr if
   /// unknown.
   const CandidateSet* KnownOf(QueryId id) const {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : &it->second.known;
+    const Entry* entry = entries_.Find(id);
+    return entry == nullptr ? nullptr : &entry->known;
   }
 
   /// Applies one timestamp of object/edge/movement updates (Fig. 10) and
@@ -115,7 +123,8 @@ class ImaEngine {
   const Stats& stats() const { return stats_; }
 
   /// Verifies the engine's internal invariants (tree label consistency,
-  /// known-set/coverage/influence-list agreement, frontier sanity).
+  /// known-set/coverage/influence-list agreement, no query twice on one
+  /// influence list, frontier sanity).
   /// O(everything) — used by the property tests and for diagnostics.
   Status CheckInvariants() const;
 
@@ -131,6 +140,14 @@ class ImaEngine {
   /// @}
 
  private:
+  /// One covered edge of a query (vacant: kInvalidEdge, never an edge).
+  struct CoveredEdge {
+    EdgeId edge = kInvalidEdge;
+
+    bool vacant() const { return edge == kInvalidEdge; }
+    EdgeId key() const { return edge; }
+  };
+
   struct Entry {
     ExpansionSource source;
     int k = 1;
@@ -139,20 +156,26 @@ class ImaEngine {
     CandidateSet known;
     std::vector<Neighbor> result;
     /// Edges holding this query in their influence list.
-    std::unordered_set<EdgeId> covered;
-    /// Edges whose objects must be re-derived before the next rebuild.
-    std::unordered_set<EdgeId> rescan_edges;
-    /// Edges that may have left the covered region. Influence-list removal
-    /// is deferred to the rebuild phase: within the timestamp, object
-    /// updates must still be routed through these edges (Fig. 10 processes
-    /// edge updates *before* object updates).
-    std::unordered_set<EdgeId> pending_uncover;
+    FlatIdMap<CoveredEdge> covered;
+    /// Edges whose objects must be re-derived before the next rebuild
+    /// (duplicates allowed; deduplicated before the walk).
+    std::vector<EdgeId> rescan_edges;
+    /// Edges that may have left the covered region (duplicates allowed).
+    /// Influence-list removal is deferred to the rebuild phase: within the
+    /// timestamp, object updates must still be routed through these edges
+    /// (Fig. 10 processes edge updates *before* object updates), and no
+    /// routing handler may edit the influence list it is walking.
+    std::vector<EdgeId> pending_uncover;
     bool needs_recompute = false;
     bool affected = false;
     /// Re-derive every known distance and rebuild coverage wholesale
     /// (set by re-rooting, where all distances shift frames).
     bool full_refresh = false;
   };
+
+  using Entries = SlotTable<QueryId, Entry>;
+  /// Dense index of a query's entry; influence lists hold these.
+  using Slot = Entries::Slot;
 
   void ApplyEdgeDecrease(const EdgeUpdate& update);
   void ApplyEdgeIncrease(const EdgeUpdate& update);
@@ -162,10 +185,10 @@ class ImaEngine {
   /// \name Frontier / coverage repairs (cost: O(region x degree))
   /// @{
   /// After settled nodes were removed: drops orphaned tentative labels,
-  /// re-derives boundary candidates from the surviving settled set, shrinks
-  /// coverage, and marks the region's edges for object re-derivation.
-  void RepairAfterRemoval(QueryId id, Entry* entry,
-                          const std::vector<NodeId>& removed);
+  /// re-derives boundary candidates from the surviving settled set, and
+  /// marks the region's edges for object re-derivation and for the
+  /// deferred coverage shrink.
+  void RepairAfterRemoval(Entry* entry, const std::vector<NodeId>& removed);
   /// After subtree distances were lowered: re-relaxes the region's frontier
   /// and marks its edges for object re-derivation.
   void RepairAfterAdjust(Entry* entry, const std::vector<NodeId>& adjusted);
@@ -178,42 +201,55 @@ class ImaEngine {
   /// After a subtree was lowered: prunes every settled node farther than
   /// the nearest frontier key, so that no unsettled node is nearer than a
   /// settled one.
-  void RestorePrefix(QueryId id, Entry* entry);
+  void RestorePrefix(Entry* entry);
   /// @}
 
   /// Continues the expansion of an affected entry and refreshes its
   /// result. Returns whether the result changed.
-  bool RebuildEntry(QueryId id, Entry* entry);
+  bool RebuildEntry(Slot slot, Entry* entry);
   /// After an expansion: prunes the tree back to the nearest frontier key
   /// and, lazily, to a slack over the bound.
-  void ShrinkTree(QueryId id, Entry* entry);
+  void ShrinkTree(Entry* entry);
   /// From-scratch recomputation (Fig. 2). Returns whether result changed.
-  bool RecomputeEntry(QueryId id, Entry* entry);
+  bool RecomputeEntry(Slot slot, Entry* entry);
 
   /// Re-derives the distances of objects on one edge in the known set.
   void RescanEdge(Entry* entry, EdgeId e);
+  /// Re-derives the known distances on every edge of `rescan_edges`
+  /// (once per edge) and empties it.
+  void RescanPending(Entry* entry);
   /// Re-derives every known distance (re-rooting).
   void RefreshKnownAll(Entry* entry);
   /// Recomputes the covered-edge set from scratch and diffs the influence
   /// lists accordingly.
-  void RebuildCoverage(QueryId id, Entry* entry);
+  void RebuildCoverage(Slot slot, Entry* entry);
   /// Adds the incident edges of newly settled nodes to the coverage.
-  void GrowCoverage(QueryId id, Entry* entry,
+  void GrowCoverage(Slot slot, Entry* entry,
                     const std::vector<NodeId>& fresh);
+  /// Removes `slot` from the influence list of `e`.
+  void Uninfluence(EdgeId e, Slot slot);
 
   /// Extracts the new top-k result; returns whether it changed.
   bool ExtractResult(Entry* entry);
 
-  /// Invokes fn(id, entry) for every query influenced by `e` (or every
-  /// query when influence filtering is disabled).
+  /// Invokes fn(entry) for every query influenced by `e` (or every query
+  /// when influence filtering is disabled). The list is walked in place,
+  /// with no copy: `fn` must not edit any influence list, so handlers
+  /// leave coverage shrinking to the rebuild pass (`pending_uncover`).
   template <typename Fn>
   void ForEachInfluenced(EdgeId e, Fn&& fn);
 
   RoadNetwork* net_;
   const ObjectTable* objects_;
-  std::unordered_map<QueryId, Entry> entries_;
-  /// Influence lists, indexed by edge (the `e.IL` of Section 3).
-  std::vector<std::unordered_set<QueryId>> influence_;
+  Entries entries_;
+  /// Influence lists, indexed by edge (the `e.IL` of Section 3): the
+  /// slots of the queries the edge affects, unordered, each at most once.
+  std::vector<std::vector<Slot>> influence_;
+  /// Reused scratch: a coverage rebuild's edges, a removal's nodes (for
+  /// membership tests), a re-root's known ids.
+  std::vector<EdgeId> edge_scratch_;
+  std::vector<NodeId> node_scratch_;
+  std::vector<ObjectId> object_scratch_;
   Stats stats_;
   bool use_tree_reuse_ = true;
   bool use_influence_filter_ = true;

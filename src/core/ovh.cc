@@ -13,27 +13,28 @@ Status Ovh::ProcessTimestamp(const UpdateBatch& batch) {
   }
   for (const QueryUpdate& qu : batch.queries) {
     switch (qu.kind) {
-      case QueryUpdate::Kind::kTerminate:
-        if (queries_.erase(qu.id) == 0) {
+      case QueryUpdate::Kind::kTerminate: {
+        const Queries::Slot slot = queries_.SlotOf(qu.id);
+        if (slot == Queries::kNoSlot) {
           return Status::NotFound("terminate for unknown query");
         }
+        queries_.Erase(slot);
         break;
+      }
       case QueryUpdate::Kind::kMove: {
-        auto it = queries_.find(qu.id);
-        if (it == queries_.end()) {
-          return Status::NotFound("move for unknown query");
-        }
-        it->second.pos = qu.pos;
+        UserQuery* uq = queries_.Find(qu.id);
+        if (uq == nullptr) return Status::NotFound("move for unknown query");
+        uq->pos = qu.pos;
         break;
       }
       case QueryUpdate::Kind::kInstall: {
         if (qu.k < 1) return Status::InvalidArgument("k must be >= 1");
-        if (queries_.count(qu.id) != 0) {
+        const auto [slot, inserted] = queries_.Insert(qu.id);
+        if (!inserted) {
           return Status::AlreadyExists("query id already monitored");
         }
-        UserQuery& uq = queries_[qu.id];
-        uq.pos = qu.pos;
-        uq.k = qu.k;
+        queries_[slot].pos = qu.pos;
+        queries_[slot].k = qu.k;
         break;
       }
     }
@@ -41,26 +42,21 @@ Status Ovh::ProcessTimestamp(const UpdateBatch& batch) {
   // Overhaul: recompute everything (Fig. 2 per query). The scratch
   // expansion is reused across queries: clearing its arrays in place
   // instead of rebuilding the state/frontier/candidate structures each time.
-  // cknn-lint: allow(unordered-iter) per-query recompute into (q)-keyed state
-  for (auto& [id, uq] : queries_) {
-    (void)id;
+  queries_.ForEachMutable([&](Queries::Slot, UserQuery& uq) {
     uq.result = SnapshotKnn(*net_, *objects_, uq.pos, uq.k, &scratch_);
-  }
+  });
   return Status::OK();
 }
 
 const std::vector<Neighbor>* Ovh::ResultOf(QueryId id) const {
-  auto it = queries_.find(id);
-  return it == queries_.end() ? nullptr : &it->second.result;
+  const UserQuery* uq = queries_.Find(id);
+  return uq == nullptr ? nullptr : &uq->result;
 }
 
 std::size_t Ovh::MemoryBytes() const {
-  std::size_t bytes = HashMapBytes(queries_) + scratch_.MemoryBytes();
-  // cknn-lint: allow(unordered-iter) commutative byte sum
-  for (const auto& [id, uq] : queries_) {
-    (void)id;
-    bytes += VectorBytes(uq.result);
-  }
+  std::size_t bytes = queries_.MemoryBytes() + scratch_.MemoryBytes();
+  queries_.ForEach(
+      [&](Queries::Slot, const UserQuery& uq) { bytes += VectorBytes(uq.result); });
   return bytes;
 }
 

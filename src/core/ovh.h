@@ -1,7 +1,6 @@
 #ifndef CKNN_CORE_OVH_H_
 #define CKNN_CORE_OVH_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/knn_search.h"
@@ -9,6 +8,7 @@
 #include "src/core/object_table.h"
 #include "src/core/updates.h"
 #include "src/graph/road_network.h"
+#include "src/util/slot_table.h"
 
 namespace cknn {
 
@@ -37,9 +37,11 @@ class Ovh : public Monitor {
     std::vector<Neighbor> result;
   };
 
+  using Queries = SlotTable<QueryId, UserQuery>;
+
   RoadNetwork* net_;
   const ObjectTable* objects_;
-  std::unordered_map<QueryId, UserQuery> queries_;
+  Queries queries_;
   /// Reused across queries and timestamps (cleared per search).
   KnnScratch scratch_;
 };

@@ -447,6 +447,11 @@ Status MonitoringServer::UpdateEdgeWeight(EdgeId edge, double new_weight) {
   return Tick(batch);
 }
 
+std::size_t MonitoringServer::MemoryBytes() const {
+  return MonitorMemoryBytes() + objects_.MemoryBytes() +
+         network_.MemoryBytes() + spatial_index_->MemoryBytes();
+}
+
 Result<NetworkPoint> MonitoringServer::Snap(const Point& p) const {
   auto hit = spatial_index_->Nearest(p);
   if (!hit.ok()) return hit.status();

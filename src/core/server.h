@@ -170,6 +170,11 @@ class MonitoringServer {
   /// shards in shard order. Requires a drained server.
   std::size_t MonitorMemoryBytes() const { return shards_.MemoryBytes(); }
 
+  /// Whole-server bytes: the monitoring structures (MonitorMemoryBytes)
+  /// plus the object table, the primary network (shared topology and its
+  /// weights) and the spatial index. Requires a drained server.
+  std::size_t MemoryBytes() const;
+
   /// Collapses multiple updates per object/query/edge into at most one, as
   /// required by the algorithms (Section 4.5), each emitted where its
   /// entity first appeared: an object chain folds to (first old position,

@@ -42,13 +42,19 @@ namespace cknn {
 /// object-id space, and a paged dense table cost O(id space) bytes and
 /// O(id space / page) iteration per query (measured as a >1.25x slowdown
 /// on the paper's Fig. 13 cardinality sweeps at N = 200k).
-/// Operations that can demote unknown entries into the top range
-/// (removals, distance raises, prunes) lazily mark the array stale; the
-/// next ranked read rebuilds it in one O(n) sweep. The array tracks
-/// `kTopCap` (64) entries by default and grows — once, marking itself
-/// stale for one rebuild — to the largest k ever asked of a ranked read,
-/// so large-k workloads (the paper's Fig. 14a goes to k = 200) keep O(1)
-/// reads instead of an O(n) scan per expansion step.
+/// The array is always a prefix of the ranking: it holds the m nearest
+/// keys for some m up to its cap, and every untracked key ranks after its
+/// last one. Operations that take keys out of it (removals, distance
+/// raises, prunes) only shorten the prefix, so a ranked read of rank k is
+/// exact as soon as the prefix has k keys; maintenance removes and raises
+/// tracked keys in runs (`ImaEngine::RescanEdge`), and the cap's slack
+/// over k absorbs most runs. Only a read past the prefix refills it, by
+/// selection: one pass gathers the untracked keys (those past the last
+/// tracked one) into a reused per-thread array, `nth_element` picks the
+/// few missing ones and only those are sorted. The array tracks `kTopCap`
+/// (64) entries by default and grows to the largest k ever asked of a
+/// ranked read, so large-k workloads (the paper's Fig. 14a goes to
+/// k = 200) keep O(1) reads instead of an O(n) scan per expansion step.
 class CandidateSet {
  public:
   CandidateSet() = default;
@@ -130,25 +136,28 @@ class CandidateSet {
   /// Default size of the sorted nearest-entries array; covers every
   /// small-k workload without growth.
   static constexpr int kTopCap = 64;
+  /// Largest gathering array (in keys) a rebuild leaves on its thread.
+  static constexpr std::size_t kMaxKeptScratch = std::size_t{1} << 16;
 
-  /// Grows the tracked range to at least `k` (stale until the next
-  /// rebuild). The cap never shrinks — ranked reads stay O(1) for every k
-  /// seen so far at an O(cap) sorted-insert cost per mutation.
+  /// Grows the tracked range to at least `k`. The cap never shrinks —
+  /// ranked reads stay O(1) for every k seen so far at an O(cap)
+  /// sorted-insert cost per mutation. The array's capacity never exceeds
+  /// the cap.
   void EnsureCap(int k) const;
-  /// Rebuilds top_ from the full map when stale (const: top_ is a cache).
+  /// Refills top_ to min(size(), top_cap_) keys by selection (const:
+  /// top_ is a cache).
   void EnsureTop() const;
-  /// Sorted-inserts into an exact top_, displacing the largest entry when
-  /// full. No-op while stale.
+  /// Offers `key` (in by_id_, not in top_) to the prefix: sorted-inserts
+  /// it if it ranks inside, or if no other key is untracked and there is
+  /// room, displacing the last key when full.
   void TopInsert(const Key& key) const;
-  /// Removes `key` from top_ if present; returns true if it was there.
-  bool TopErase(const Key& key) const;
+  /// Removes `key` from top_ if present.
+  void TopErase(const Key& key) const;
 
   FlatIdMap<Slot> by_id_;
-  /// The min(size(), top_cap_) nearest (distance, id) keys, ascending,
-  /// when `top_exact_`; arbitrary prefix otherwise until the next
-  /// EnsureTop.
+  /// The m nearest (distance, id) keys, ascending, for some
+  /// m <= min(size(), top_cap_); every other key ranks after the last.
   mutable std::vector<Key> top_;
-  mutable bool top_exact_ = true;
   mutable int top_cap_ = kTopCap;
 };
 

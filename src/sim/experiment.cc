@@ -133,7 +133,10 @@ Result<RunMetrics> RunTraceReplay(Algorithm algorithm, const Trace& trace,
                                         std::to_string(ts + 1) +
                                         " rejected: " + st.message());
     }
-    if (measure_memory) step.memory_bytes = server.MonitorMemoryBytes();
+    if (measure_memory) {
+      step.memory_bytes = server.MonitorMemoryBytes();
+      step.server_bytes = server.MemoryBytes();
+    }
     metrics.steps.push_back(step);
   }
   {

@@ -63,6 +63,9 @@ struct TimestepMetrics {
   /// driver-side generation CPU).
   double cpu_seconds = 0.0;
   std::size_t memory_bytes = 0;  ///< Monitoring-structure bytes after it.
+  /// Whole-server bytes after it (MonitoringServer::MemoryBytes): the
+  /// monitoring structures plus the object table, network and index.
+  std::size_t server_bytes = 0;
 };
 
 /// Measurements of a whole monitoring run (the per-figure data points).

@@ -37,6 +37,7 @@ RunMetrics RunSimulation(MonitoringServer* server, WorkloadSource* workload,
     CKNN_CHECK(st.ok());
     if (options.measure_memory) {
       step.memory_bytes = server->MonitorMemoryBytes();
+      step.server_bytes = server->MemoryBytes();
     }
     metrics.steps.push_back(step);
   }

@@ -2,8 +2,6 @@
 #define CKNN_UTIL_MEM_H_
 
 #include <cstddef>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace cknn {
@@ -12,26 +10,12 @@ namespace cknn {
 /// Helpers for the Figure-18 memory experiments. They estimate the heap
 /// footprint of the monitoring structures (expansion trees, influence lists,
 /// result sets) the way the paper reports space: payload bytes of the
-/// containers, including hash-table bucket overhead.
+/// containers.
 /// @{
 
 template <typename T>
 std::size_t VectorBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
-}
-
-template <typename K, typename V, typename H, typename E, typename A>
-std::size_t HashMapBytes(const std::unordered_map<K, V, H, E, A>& m) {
-  // Node-based container: one node per element (value + next pointer) plus
-  // the bucket array.
-  return m.size() * (sizeof(std::pair<const K, V>) + sizeof(void*)) +
-         m.bucket_count() * sizeof(void*);
-}
-
-template <typename K, typename H, typename E, typename A>
-std::size_t HashSetBytes(const std::unordered_set<K, H, E, A>& s) {
-  return s.size() * (sizeof(K) + sizeof(void*)) +
-         s.bucket_count() * sizeof(void*);
 }
 
 /// @}

@@ -10,7 +10,11 @@
 // Contains for every pool id, All(), and the ForEachCandidate multiset.
 // Further tapes drain the set to empty (through Remove or PruneBeyond)
 // and regrow it, or Clear it and reuse it, and check that the footprint
-// follows the live entries once the map has shrunk.
+// follows the live entries once the map has shrunk. A last tape drives
+// the shape that causes nearly every rebuild of the nearest-keys array in
+// the monitors (runs of tracked removals and raises between ranked reads,
+// as `RescanEdge` does) and pins that a rebuild leaves that array at its
+// tracked capacity.
 //
 // Runs under the `fuzz` label; seeds via CKNN_FUZZ_SEED, iteration budget
 // via CKNN_FUZZ_SCALE (tests/fuzz_util.h).
@@ -24,6 +28,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/top_k.h"
+#include "src/util/flat_id_map.h"
 #include "src/util/rng.h"
 #include "tests/fuzz_util.h"
 
@@ -348,6 +353,89 @@ TEST(CandidateSetFuzzTest, FootprintFollowsLiveEntriesForSparseIds) {
       ExpectShrunk(real);
     }
     EXPECT_EQ(real.size(), ids.size() / 64);
+  }
+}
+
+/// A 12-byte slot, the size of the candidate set's own map slots, so a
+/// FlatIdMap of these that sees the same inserts and erases holds an
+/// array of exactly the set's map footprint.
+struct MirrorSlot {
+  ObjectId id = 0;
+  std::uint32_t live = 0;
+  std::uint32_t pad = 0;
+
+  bool vacant() const { return live == 0; }
+  ObjectId key() const { return id; }
+};
+static_assert(sizeof(MirrorSlot) == 12, "mirrors the 12-byte map slots");
+
+TEST(CandidateSetFuzzTest, RebuildAfterTrackedRemovalsAndRaises) {
+  // Sets of cap+1 ... 4 cap candidates, where cap is the tracked range
+  // (64, or k once a ranked read asks for more). Between ranked reads a
+  // run of operations removes tracked keys and raises tracked distances,
+  // which leaves untracked keys to promote, so every read rebuilds.
+  const int rounds = testing::FuzzIterations(/*default_iters=*/40,
+                                             /*hard_cap=*/4000);
+  for (const int k : {1, 50, 64, 65, 200}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    const std::size_t cap = static_cast<std::size_t>(std::max(64, k));
+    Rng rng(testing::FuzzSeed(9000 + static_cast<std::uint64_t>(k)));
+    const std::vector<ObjectId> pool = IdPool(8 * cap, /*spread=*/k % 2 == 1);
+    for (std::size_t n = cap + 1; n <= 4 * cap; n += 1 + cap / 8) {
+      CandidateSet real;
+      NaiveCandidateSet naive;
+      FlatIdMap<MirrorSlot> mirror;
+      const auto ranked_read = [&] {
+        ASSERT_EQ(real.KthDist(k), naive.KthDist(k));
+        ExpectSameNeighbors(real.TopK(k), naive.TopK(k));
+        if (::testing::Test::HasFatalFailure()) return;
+        // The rebuild handed the nearest-keys array only the tracked
+        // range: the footprint is the map's array plus cap keys.
+        ASSERT_LE(real.MemoryBytes(),
+                  mirror.MemoryBytes() +
+                      cap * sizeof(std::pair<double, ObjectId>))
+            << real.size() << " candidates";
+      };
+      std::size_t next = 0;
+      const auto add = [&](double dist) {
+        const ObjectId id = pool[next++ % pool.size()];
+        if (naive.DistanceOf(id)) return;
+        real.Offer(id, dist);
+        naive.Offer(id, dist);
+        mirror.Insert(MirrorSlot{id, 1, 0});
+      };
+      while (naive.size() < n) {
+        add(static_cast<double>(rng.NextIndex(512)) * 0.125);
+      }
+      ranked_read();
+      if (::testing::Test::HasFatalFailure()) return;
+      for (int round = 0; round < rounds; ++round) {
+        const std::size_t run = 1 + rng.NextIndex(8);
+        for (std::size_t op = 0; op < run; ++op) {
+          // A key inside the tracked range.
+          const std::vector<Neighbor> tracked =
+              naive.TopK(static_cast<int>(cap));
+          const Neighbor victim = tracked[rng.NextIndex(tracked.size())];
+          if (rng.NextBool(0.5)) {
+            ASSERT_EQ(real.Remove(victim.id), naive.Remove(victim.id));
+            mirror.Erase(mirror.Find(victim.id));
+          } else {
+            const double raised =
+                victim.distance + 0.125 * (1 + rng.NextIndex(256));
+            real.Set(victim.id, raised);
+            naive.Set(victim.id, raised);
+          }
+        }
+        ranked_read();
+        if (::testing::Test::HasFatalFailure()) return;
+        // Refill toward n so the set keeps more candidates than it tracks.
+        while (naive.size() < n) {
+          add(static_cast<double>(rng.NextIndex(512)) * 0.125);
+        }
+      }
+      ExpectSameState(real, naive, pool);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Structural property tests: ImaEngine::CheckInvariants() must hold after
 // every timestamp of randomized mixed workloads, both for IMA's per-query
-// engine and for the engine GMA runs over its active nodes.
+// engine and for the engine GMA runs over its active nodes; for GMA, so
+// must Gma::CheckInvariants() over its user-query influence lists.
 
 #include <memory>
 
@@ -10,6 +11,7 @@
 #include "src/core/server.h"
 #include "src/gen/network_gen.h"
 #include "src/gen/workload.h"
+#include "src/util/macros.h"
 #include "tests/test_util.h"
 
 namespace cknn {
@@ -39,6 +41,13 @@ const ImaEngine& EngineOf(MonitoringServer* server) {
   return dynamic_cast<Gma&>(server->monitor()).engine();
 }
 
+/// The engine's invariants and, under GMA, the user-query bookkeeping's.
+Status CheckAll(MonitoringServer* server) {
+  CKNN_RETURN_NOT_OK(EngineOf(server).CheckInvariants());
+  if (server->algorithm() != Algorithm::kGma) return Status::OK();
+  return dynamic_cast<Gma&>(server->monitor()).CheckInvariants();
+}
+
 TEST_P(EngineInvariantsTest, HoldAtEveryTimestamp) {
   const InvariantCase& c = GetParam();
   MonitoringServer server(
@@ -55,10 +64,11 @@ TEST_P(EngineInvariantsTest, HoldAtEveryTimestamp) {
   cfg.seed = c.seed * 11;
   Workload wl(&server.network(), &server.spatial_index(), cfg);
   ASSERT_TRUE(server.Tick(wl.Initial()).ok());
-  ASSERT_TRUE(EngineOf(&server).CheckInvariants().ok());
+  const Status initial = CheckAll(&server);
+  ASSERT_TRUE(initial.ok()) << initial.ToString();
   for (int ts = 0; ts < 12; ++ts) {
     ASSERT_TRUE(server.Tick(wl.Step()).ok());
-    const Status st = EngineOf(&server).CheckInvariants();
+    const Status st = CheckAll(&server);
     ASSERT_TRUE(st.ok()) << "ts " << ts << ": " << st.ToString();
   }
 }

@@ -189,12 +189,12 @@ TEST_F(EngineScenarioTest, LazyShrinkReleasesCoverageEventually) {
   ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.9}).ok());
   ASSERT_TRUE(
       engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.1}), 1).ok());
-  ASSERT_TRUE(engine_->InfluenceOf(e34_).count(1) == 1);
+  ASSERT_EQ(engine_->InfluenceOf(e34_), std::vector<QueryId>{1});
   std::vector<ObjectUpdate> updates{
       ObjectUpdate{1, std::nullopt, NetworkPoint{e01_, 0.2}}};
   ProcessObjects(updates);
   // The far edge must no longer influence the query after the shrink.
-  EXPECT_EQ(engine_->InfluenceOf(e34_).count(1), 0u);
+  EXPECT_TRUE(engine_->InfluenceOf(e34_).empty());
   ASSERT_TRUE(engine_->CheckInvariants().ok());
 }
 

@@ -349,5 +349,21 @@ TEST(ServerTest, MonitorMemoryBytesNonZeroWithQueries) {
   EXPECT_GT(server.MonitorMemoryBytes(), 0u);
 }
 
+TEST(ServerTest, MemoryBytesCoversMonitorsTableAndNetwork) {
+  for (const Algorithm algo :
+       {Algorithm::kOvh, Algorithm::kIma, Algorithm::kGma}) {
+    MonitoringServer server(testing::MakeGrid(6), algo, /*num_shards=*/2);
+    for (ObjectId id = 0; id < 20; ++id) {
+      ASSERT_TRUE(server.AddObject(id, NetworkPoint{id, 0.5}).ok());
+    }
+    ASSERT_TRUE(server.InstallQuery(0, NetworkPoint{3, 0.25}, 3).ok());
+    ASSERT_TRUE(server.InstallQuery(1, NetworkPoint{30, 0.75}, 2).ok());
+    EXPECT_GE(server.MemoryBytes(),
+              server.MonitorMemoryBytes() + server.objects().MemoryBytes() +
+                  server.network().MemoryBytes())
+        << AlgorithmName(algo);
+  }
+}
+
 }  // namespace
 }  // namespace cknn

@@ -131,6 +131,8 @@ TEST_P(TortureTest, FortyTimestampsOfEverything) {
                     .CheckInvariants()
                     .ok())
         << "ts " << ts;
+    ASSERT_TRUE(dynamic_cast<Gma&>(gma.monitor()).CheckInvariants().ok())
+        << "ts " << ts;
     for (const auto& [id, pk] : qry_pos) {
       (void)pk;
       const auto* want = ovh.ResultOf(id);

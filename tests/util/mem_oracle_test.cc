@@ -21,6 +21,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/expansion.h"
+#include "src/core/gma.h"
 #include "src/core/ima.h"
 #include "src/core/object_table.h"
 #include "src/core/top_k.h"
@@ -151,38 +152,107 @@ TEST(MemOracleTest, ExpansionState) {
   });
 }
 
+/// A 20x20 grid with 400 objects at random points; `rng` drives the
+/// placement and whatever the caller draws next.
+struct OracleWorld {
+  explicit OracleWorld(std::uint64_t seed)
+      : net(testing::MakeGrid(20)), objects(net.NumEdges()), rng(seed) {
+    net.BuildAdjacencyIndex();
+    for (ObjectId id = 0; id < 400; ++id) {
+      EXPECT_TRUE(objects.Insert(id, RandomPoint()).ok());
+    }
+  }
+  NetworkPoint RandomPoint() {
+    return NetworkPoint{static_cast<EdgeId>(rng.NextIndex(net.NumEdges())),
+                        rng.NextDouble()};
+  }
+  /// Moves every 7th object (from `first`) to a random point, in the
+  /// table and as a batch for the monitors.
+  std::vector<ObjectUpdate> MoveObjects(ObjectId first) {
+    std::vector<ObjectUpdate> moves;
+    for (ObjectId id = first; id < 400; id += 7) {
+      const NetworkPoint from = *objects.Position(id);
+      const NetworkPoint to = RandomPoint();
+      EXPECT_TRUE(objects.Move(id, to).ok());
+      moves.push_back(ObjectUpdate{id, from, to});
+    }
+    return moves;
+  }
+
+  RoadNetwork net;
+  ObjectTable objects;
+  Rng rng;
+};
+
 TEST(MemOracleTest, ImaEngine) {
   // The network and objects are built OUTSIDE the measured build, so the
-  // delta is the engine's own: per-query trees, frontiers, known sets and
-  // edge sets, and the influence lists. The edge-increase ticks prune
-  // trees, which fills and then clears the per-query edge sets (their
-  // bucket arrays stay allocated and must be counted).
-  RoadNetwork net = testing::MakeGrid(20);
-  net.BuildAdjacencyIndex();
-  ObjectTable objects(net.NumEdges());
-  Rng rng(23);
-  const auto random_edge = [&] {
-    return static_cast<EdgeId>(rng.NextIndex(net.NumEdges()));
-  };
-  for (ObjectId id = 0; id < 400; ++id) {
-    ASSERT_TRUE(
-        objects.Insert(id, NetworkPoint{random_edge(), rng.NextDouble()}).ok());
-  }
+  // delta is the engine's own: the query slots and their id index, the
+  // per-query trees, frontiers, known sets and covered-edge maps, and the
+  // per-edge influence lists. The edge-increase ticks prune trees, which
+  // fills and then clears the per-query edge vectors (their capacity
+  // stays allocated and must be counted); the object moves route through
+  // the influence lists, and removed queries leave free slots that later
+  // installs reuse.
+  OracleWorld world(23);
   ExpectEstimateWithinOracle("ImaEngine", [&] {
-    auto engine = std::make_unique<ImaEngine>(&net, &objects);
+    auto engine = std::make_unique<ImaEngine>(&world.net, &world.objects);
     for (QueryId q = 0; q < 40; ++q) {
-      const NetworkPoint pos{random_edge(), rng.NextDouble()};
-      EXPECT_TRUE(engine->AddQuery(q, ExpansionSource::AtPoint(pos), 8).ok());
+      EXPECT_TRUE(engine
+                      ->AddQuery(q, ExpansionSource::AtPoint(world.RandomPoint()),
+                                 8)
+                      .ok());
     }
     for (int tick = 0; tick < 3; ++tick) {
       std::vector<EdgeUpdate> increases;
-      for (EdgeId e = static_cast<EdgeId>(tick); e < net.NumEdges(); e += 13) {
-        increases.push_back(EdgeUpdate{e, net.edge(e).weight * 1.5});
+      for (EdgeId e = static_cast<EdgeId>(tick); e < world.net.NumEdges();
+           e += 13) {
+        increases.push_back(EdgeUpdate{e, world.net.edge(e).weight * 1.5});
       }
-      engine->ProcessUpdates({}, increases, {});
+      engine->ProcessUpdates(world.MoveObjects(static_cast<ObjectId>(tick)),
+                             increases, {});
+    }
+    for (QueryId q = 0; q < 40; q += 4) {
+      EXPECT_TRUE(engine->RemoveQuery(q).ok());
+    }
+    for (QueryId q = 100; q < 105; ++q) {
+      EXPECT_TRUE(engine
+                      ->AddQuery(q, ExpansionSource::AtPoint(world.RandomPoint()),
+                                 8)
+                      .ok());
     }
     EXPECT_TRUE(engine->CheckInvariants().ok());
     return engine;
+  });
+}
+
+TEST(MemOracleTest, Gma) {
+  // As above for GMA: its user-query and active-node slots, influence
+  // lists with intervals, per-query vectors and evaluation scratch, plus
+  // the engine over the active nodes. The sequence table is shared graph
+  // substrate that Gma::MemoryBytes leaves out, so it is built before the
+  // measured build.
+  OracleWorld world(29);
+  ASSERT_NE(world.net.SharedSequences(), nullptr);
+  ExpectEstimateWithinOracle("Gma", [&] {
+    auto gma = std::make_unique<Gma>(&world.net, &world.objects);
+    UpdateBatch install;
+    for (QueryId q = 0; q < 40; ++q) {
+      install.queries.push_back(QueryUpdate{
+          q, QueryUpdate::Kind::kInstall, world.RandomPoint(), 8});
+    }
+    EXPECT_TRUE(gma->ProcessTimestamp(install).ok());
+    for (int tick = 0; tick < 3; ++tick) {
+      UpdateBatch batch;
+      batch.objects = world.MoveObjects(static_cast<ObjectId>(tick));
+      for (QueryId q = static_cast<QueryId>(tick); q < 40; q += 9) {
+        batch.queries.push_back(QueryUpdate{
+            q, QueryUpdate::Kind::kMove, world.RandomPoint(), 0});
+      }
+      EXPECT_TRUE(gma->ProcessTimestamp(batch).ok());
+    }
+    EXPECT_TRUE(gma->CheckInvariants().ok());
+    EXPECT_TRUE(gma->engine().CheckInvariants().ok());
+    return gma;
   });
 }
 

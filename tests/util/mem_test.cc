@@ -1,9 +1,6 @@
 #include "src/util/mem.h"
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -30,52 +27,6 @@ TEST(MemTest, VectorBytesGrowsWithElements) {
   for (int i = 0; i < 1000; ++i) v.push_back(i);
   EXPECT_GT(VectorBytes(v), empty_bytes);
   EXPECT_GE(VectorBytes(v), 1000 * sizeof(std::uint64_t));
-}
-
-TEST(MemTest, HashMapBytesEmpty) {
-  std::unordered_map<int, double> m;
-  // No elements: only the bucket array counts.
-  EXPECT_EQ(HashMapBytes(m), m.bucket_count() * sizeof(void*));
-}
-
-TEST(MemTest, HashMapBytesCountsNodesAndBuckets) {
-  std::unordered_map<std::uint64_t, double> m;
-  for (std::uint64_t i = 0; i < 50; ++i) m[i] = static_cast<double>(i);
-  const std::size_t expected =
-      m.size() * (sizeof(std::pair<const std::uint64_t, double>) +
-                  sizeof(void*)) +
-      m.bucket_count() * sizeof(void*);
-  EXPECT_EQ(HashMapBytes(m), expected);
-  EXPECT_GT(HashMapBytes(m), 50 * sizeof(std::pair<const std::uint64_t,
-                                                   double>));
-}
-
-TEST(MemTest, HashSetBytesEmpty) {
-  std::unordered_set<int> s;
-  EXPECT_EQ(HashSetBytes(s), s.bucket_count() * sizeof(void*));
-}
-
-TEST(MemTest, HashSetBytesCountsElements) {
-  std::unordered_set<std::uint64_t> s;
-  for (std::uint64_t i = 0; i < 64; ++i) s.insert(i);
-  const std::size_t expected =
-      s.size() * (sizeof(std::uint64_t) + sizeof(void*)) +
-      s.bucket_count() * sizeof(void*);
-  EXPECT_EQ(HashSetBytes(s), expected);
-}
-
-TEST(MemTest, EstimatesAreMonotoneInElementCount) {
-  std::unordered_map<int, int> small_map;
-  std::unordered_map<int, int> big_map;
-  for (int i = 0; i < 10; ++i) small_map[i] = i;
-  for (int i = 0; i < 1000; ++i) big_map[i] = i;
-  EXPECT_LT(HashMapBytes(small_map), HashMapBytes(big_map));
-
-  std::unordered_set<int> small_set;
-  std::unordered_set<int> big_set;
-  for (int i = 0; i < 10; ++i) small_set.insert(i);
-  for (int i = 0; i < 1000; ++i) big_set.insert(i);
-  EXPECT_LT(HashSetBytes(small_set), HashSetBytes(big_set));
 }
 
 }  // namespace

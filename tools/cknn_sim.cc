@@ -74,7 +74,7 @@ void PrintUsage() {
       "  --query-speed=F       avg edge lengths per ts (1.0)\n"
       "  --uniform-queries     place queries uniformly (default Gaussian)\n"
       "  --gaussian-objects    place objects Gaussian (default uniform)\n"
-      "  --memory              report monitoring memory\n"
+      "  --memory              report monitoring and whole-server memory\n"
       "  --shards=N            worker shards of the monitoring server\n"
       "                        (default 1 = serial; results are independent\n"
       "                        of the shard count — see docs/sharding.md)\n"
@@ -253,7 +253,9 @@ void PrintRun(Algorithm algo, const RunMetrics& metrics, bool memory) {
     std::printf("ts %4zu  wall %.6fs  cpu %.6fs", ts,
                 metrics.steps[ts].seconds, metrics.steps[ts].cpu_seconds);
     if (memory) {
-      std::printf("  mem %zu KB", metrics.steps[ts].memory_bytes / 1024);
+      std::printf("  mem %zu KB  server %zu KB",
+                  metrics.steps[ts].memory_bytes / 1024,
+                  metrics.steps[ts].server_bytes / 1024);
     }
     std::printf("\n");
   }
