@@ -95,13 +95,12 @@ void MicroImaRouting(benchmark::State& state) {
                         rng.NextDouble()};
   };
   for (ObjectId id = 0; id < kObjects; ++id) {
-    CKNN_CHECK(objects.Insert(id, random_point()).ok());
+    objects.Insert(id, random_point());
   }
   ImaEngine engine(&net, &objects);
   for (QueryId q = 0; q < kQueries; ++q) {
-    CKNN_CHECK(engine.AddQuery(q, ExpansionSource::AtPoint(random_point()),
-                               static_cast<int>(state.range(0)))
-                   .ok());
+    engine.AddQuery(q, ExpansionSource::AtPoint(random_point()),
+                    static_cast<int>(state.range(0)));
   }
   std::vector<ObjectUpdate> batch;
   for (auto _ : state) {
@@ -112,7 +111,7 @@ void MicroImaRouting(benchmark::State& state) {
         const auto id = static_cast<ObjectId>(rng.NextIndex(kObjects));
         const NetworkPoint from = *objects.Position(id);
         const NetworkPoint to = random_point();
-        CKNN_CHECK(objects.Move(id, to).ok());
+        objects.Move(id, to);
         batch.push_back(ObjectUpdate{id, from, to});
       }
       Stopwatch wall;

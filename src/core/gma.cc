@@ -21,7 +21,7 @@ const std::vector<Neighbor>* Gma::ResultOf(QueryId id) const {
 
 void Gma::SyncNodeK(NodeId n, ActiveNode* an) {
   if (an->queries.empty()) {
-    CKNN_CHECK(engine_.RemoveQuery(n).ok());
+    engine_.RemoveQuery(n);
     active_.Erase(active_.SlotOf(n));
     return;
   }
@@ -29,7 +29,7 @@ void Gma::SyncNodeK(NodeId n, ActiveNode* an) {
   for (Slot q : an->queries) max_k = std::max(max_k, queries_[q].k);
   if (max_k != an->k) {
     an->k = max_k;
-    CKNN_CHECK(engine_.SetK(n, max_k).ok());
+    engine_.SetK(n, max_k);
   }
 }
 
@@ -47,11 +47,10 @@ void Gma::AttachToEndpoints(Slot slot, UserQuery* uq) {
     an.queries.push_back(slot);
     if (inserted) {
       an.k = uq->k;
-      CKNN_CHECK(
-          engine_.AddQuery(n, ExpansionSource::AtNodeSource(n), uq->k).ok());
+      engine_.AddQuery(n, ExpansionSource::AtNodeSource(n), uq->k);
     } else if (uq->k > an.k) {
       an.k = uq->k;
-      CKNN_CHECK(engine_.SetK(n, an.k).ok());
+      engine_.SetK(n, an.k);
     }
   }
 }
@@ -231,7 +230,7 @@ void Gma::EvaluateQuery(Slot slot, UserQuery* uq) {
   }
 }
 
-Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
+void Gma::ProcessTimestamp(const UpdateBatch& batch) {
   ++pass_;
   to_evaluate_.clear();
 
@@ -252,9 +251,7 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
     switch (qu.kind) {
       case QueryUpdate::Kind::kTerminate: {
         const Slot slot = queries_.SlotOf(qu.id);
-        if (slot == Queries::kNoSlot) {
-          return Status::NotFound("terminate for unknown query");
-        }
+        CKNN_CHECK(slot != Queries::kNoSlot);
         ClearInfluence(slot, &queries_[slot]);
         DetachFromEndpoints(slot, &queries_[slot]);
         queries_.Erase(slot);
@@ -262,13 +259,8 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
       }
       case QueryUpdate::Kind::kMove: {
         const Slot slot = queries_.SlotOf(qu.id);
-        if (slot == Queries::kNoSlot) {
-          return Status::NotFound("move for unknown query");
-        }
+        CKNN_CHECK(slot != Queries::kNoSlot);
         UserQuery& uq = queries_[slot];
-        if (qu.pos.edge >= net_->NumEdges()) {
-          return Status::InvalidArgument("move onto unknown edge");
-        }
         const SequenceId new_seq = st_->SequenceOf(qu.pos.edge);
         if (new_seq != uq.seq) {
           DetachFromEndpoints(slot, &uq);
@@ -282,14 +274,9 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
         break;
       }
       case QueryUpdate::Kind::kInstall: {
-        if (queries_.SlotOf(qu.id) != Queries::kNoSlot) {
-          return Status::AlreadyExists("query id already monitored");
-        }
-        if (qu.k < 1) return Status::InvalidArgument("k must be >= 1");
-        if (qu.pos.edge >= net_->NumEdges()) {
-          return Status::InvalidArgument("install on unknown edge");
-        }
-        const Slot slot = queries_.Insert(qu.id).first;
+        CKNN_CHECK(qu.k >= 1);
+        const auto [slot, inserted] = queries_.Insert(qu.id);
+        CKNN_CHECK(inserted);
         UserQuery& uq = queries_[slot];
         uq.pos = qu.pos;
         uq.k = qu.k;
@@ -335,7 +322,6 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
     if (!queries_.Live(q)) continue;  // Queued, then terminated.
     EvaluateQuery(q, &queries_[q]);
   }
-  return Status::OK();
 }
 
 Status Gma::CheckInvariants() const {

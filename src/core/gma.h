@@ -56,7 +56,7 @@ class Gma : public Monitor {
   /// network topology must not change afterwards (weights may).
   Gma(RoadNetwork* net, const ObjectTable* objects);
 
-  Status ProcessTimestamp(const UpdateBatch& batch) override;
+  void ProcessTimestamp(const UpdateBatch& batch) override;
   const std::vector<Neighbor>* ResultOf(QueryId id) const override;
   std::size_t NumQueries() const override { return queries_.size(); }
   std::size_t MemoryBytes() const override;

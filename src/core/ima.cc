@@ -15,39 +15,30 @@ ImaEngine::ImaEngine(RoadNetwork* net, const ObjectTable* objects)
   net_->BuildAdjacencyIndex();  // Expansion iterates the CSR view.
 }
 
-Status ImaEngine::AddQuery(QueryId id, const ExpansionSource& source,
-                           int k) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (HasQuery(id)) {
-    return Status::AlreadyExists("query id already monitored");
-  }
-  if (!source.at_node && source.point.edge >= net_->NumEdges()) {
-    return Status::InvalidArgument("query position on unknown edge");
-  }
-  if (source.at_node && source.node >= net_->NumNodes()) {
-    return Status::InvalidArgument("query anchored at unknown node");
-  }
-  const Slot slot = entries_.Insert(id).first;
+void ImaEngine::AddQuery(QueryId id, const ExpansionSource& source, int k) {
+  CKNN_CHECK(k >= 1);
+  CKNN_CHECK(source.at_node ? source.node < net_->NumNodes()
+                            : source.point.edge < net_->NumEdges());
+  const auto [slot, inserted] = entries_.Insert(id);
+  CKNN_CHECK(inserted);
   Entry& entry = entries_[slot];
   entry.source = source;
   entry.k = k;
   RecomputeEntry(slot, &entry);
-  return Status::OK();
 }
 
-Status ImaEngine::RemoveQuery(QueryId id) {
+void ImaEngine::RemoveQuery(QueryId id) {
   const Slot slot = entries_.SlotOf(id);
-  if (slot == Entries::kNoSlot) return Status::NotFound("unknown query id");
+  CKNN_CHECK(slot != Entries::kNoSlot);
   entries_[slot].covered.ForEach(
       [&](const CoveredEdge& c) { Uninfluence(c.edge, slot); });
   entries_.Erase(slot);
-  return Status::OK();
 }
 
-Result<bool> ImaEngine::SetK(QueryId id, int k) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+bool ImaEngine::SetK(QueryId id, int k) {
+  CKNN_CHECK(k >= 1);
   const Slot slot = entries_.SlotOf(id);
-  if (slot == Entries::kNoSlot) return Status::NotFound("unknown query id");
+  CKNN_CHECK(slot != Entries::kNoSlot);
   Entry& entry = entries_[slot];
   if (entry.k == k) return false;
   entry.k = k;
@@ -694,19 +685,16 @@ std::size_t ImaEngine::MemoryBytes() const {
   return bytes;
 }
 
-Status Ima::ProcessTimestamp(const UpdateBatch& batch) {
+void Ima::ProcessTimestamp(const UpdateBatch& batch) {
   // Terminations first (before any maintenance work is spent on them),
   // installations last (after all updates took effect) — Section 4.5.
   std::vector<ImaEngine::MoveRequest> moves;
   for (const QueryUpdate& qu : batch.queries) {
     switch (qu.kind) {
       case QueryUpdate::Kind::kTerminate:
-        CKNN_RETURN_NOT_OK(engine_.RemoveQuery(qu.id));
+        engine_.RemoveQuery(qu.id);
         break;
       case QueryUpdate::Kind::kMove:
-        if (!engine_.HasQuery(qu.id)) {
-          return Status::NotFound("move for unknown query");
-        }
         moves.push_back(ImaEngine::MoveRequest{qu.id, qu.pos});
         break;
       case QueryUpdate::Kind::kInstall:
@@ -716,11 +704,9 @@ Status Ima::ProcessTimestamp(const UpdateBatch& batch) {
   engine_.ProcessUpdates(batch.objects, batch.edges, moves);
   for (const QueryUpdate& qu : batch.queries) {
     if (qu.kind == QueryUpdate::Kind::kInstall) {
-      CKNN_RETURN_NOT_OK(
-          engine_.AddQuery(qu.id, ExpansionSource::AtPoint(qu.pos), qu.k));
+      engine_.AddQuery(qu.id, ExpansionSource::AtPoint(qu.pos), qu.k);
     }
   }
-  return Status::OK();
 }
 
 }  // namespace cknn

@@ -12,8 +12,8 @@
 #include "src/core/updates.h"
 #include "src/graph/road_network.h"
 #include "src/util/flat_id_map.h"
-#include "src/util/result.h"
 #include "src/util/slot_table.h"
+#include "src/util/status.h"
 
 namespace cknn {
 
@@ -73,15 +73,16 @@ class ImaEngine {
   ImaEngine& operator=(const ImaEngine&) = delete;
 
   /// Registers a query and computes its initial result (Fig. 2).
-  Status AddQuery(QueryId id, const ExpansionSource& source, int k);
+  /// Requires a new id, `k >= 1` and a source on the network.
+  void AddQuery(QueryId id, const ExpansionSource& source, int k);
 
-  /// Unregisters a query and clears its influence-list entries.
-  Status RemoveQuery(QueryId id);
+  /// Unregisters a registered query and clears its influence-list entries.
+  void RemoveQuery(QueryId id);
 
-  /// Changes the number of monitored neighbors (GMA adjusts n.k when the
-  /// query population of a sequence changes). Returns whether the result
-  /// changed.
-  Result<bool> SetK(QueryId id, int k);
+  /// Changes the number of monitored neighbors of a registered query to
+  /// `k >= 1` (GMA adjusts n.k when the query population of a sequence
+  /// changes). Returns whether the result changed.
+  bool SetK(QueryId id, int k);
 
   bool HasQuery(QueryId id) const {
     return entries_.SlotOf(id) != Entries::kNoSlot;
@@ -262,7 +263,7 @@ class Ima : public Monitor {
  public:
   Ima(RoadNetwork* net, const ObjectTable* objects) : engine_(net, objects) {}
 
-  Status ProcessTimestamp(const UpdateBatch& batch) override;
+  void ProcessTimestamp(const UpdateBatch& batch) override;
   const std::vector<Neighbor>* ResultOf(QueryId id) const override {
     return engine_.ResultOf(id);
   }

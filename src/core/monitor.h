@@ -6,7 +6,6 @@
 
 #include "src/core/updates.h"
 #include "src/graph/types.h"
-#include "src/util/status.h"
 
 namespace cknn {
 
@@ -49,7 +48,13 @@ class Monitor {
   /// the same id (a within-timestamp re-installation; the server's
   /// aggregation emits the pair in that order, and every algorithm
   /// processes terminations before installations).
-  virtual Status ProcessTimestamp(const UpdateBatch& batch) = 0;
+  ///
+  /// The batch must also be admissible: `MonitoringServer::Prepare` is the
+  /// one place that refuses an update, and it passes on only validated,
+  /// folded batches. A monitor asserts those preconditions (known edges,
+  /// `k >= 1`, moves and terminations of registered queries, installs of
+  /// new ids) with `CKNN_CHECK` rather than reporting them.
+  virtual void ProcessTimestamp(const UpdateBatch& batch) = 0;
 
   /// Current k-NN set of a registered query, in (distance, id) order.
   /// nullptr if the query is unknown.

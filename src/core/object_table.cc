@@ -5,33 +5,27 @@
 
 namespace cknn {
 
-Status ObjectTable::Insert(ObjectId id, const NetworkPoint& pos) {
-  if (pos.edge >= per_edge_.size()) {
-    return Status::InvalidArgument("object position on unknown edge");
-  }
+void ObjectTable::Insert(ObjectId id, const NetworkPoint& pos) {
+  CKNN_CHECK(pos.edge < per_edge_.size());
   std::vector<EdgeObject>& list = per_edge_[pos.edge];
-  if (!ids_.Insert(Entry{pos, id, static_cast<std::uint32_t>(list.size())})
-           .second) {
-    return Status::AlreadyExists("object id already present");
-  }
+  const bool inserted =
+      ids_.Insert(Entry{pos, id, static_cast<std::uint32_t>(list.size())})
+          .second;
+  CKNN_CHECK(inserted);
   list.push_back(EdgeObject(id, pos.t));
-  return Status::OK();
 }
 
-Status ObjectTable::Remove(ObjectId id) {
+void ObjectTable::Remove(ObjectId id) {
   Entry* entry = ids_.Find(id);
-  if (entry == nullptr) return Status::NotFound("unknown object id");
+  CKNN_CHECK(entry != nullptr);
   DetachFromEdge(*entry);
   ids_.Erase(entry);
-  return Status::OK();
 }
 
-Status ObjectTable::Move(ObjectId id, const NetworkPoint& new_pos) {
-  if (new_pos.edge >= per_edge_.size()) {
-    return Status::InvalidArgument("object position on unknown edge");
-  }
+void ObjectTable::Move(ObjectId id, const NetworkPoint& new_pos) {
+  CKNN_CHECK(new_pos.edge < per_edge_.size());
   Entry* entry = ids_.Find(id);
-  if (entry == nullptr) return Status::NotFound("unknown object id");
+  CKNN_CHECK(entry != nullptr);
   if (entry->pos.edge == new_pos.edge) {
     per_edge_[new_pos.edge][entry->edge_slot].set_t(new_pos.t);
   } else {
@@ -41,16 +35,16 @@ Status ObjectTable::Move(ObjectId id, const NetworkPoint& new_pos) {
     list.push_back(EdgeObject(id, new_pos.t));
   }
   entry->pos = new_pos;
-  return Status::OK();
 }
 
-Status ObjectTable::Apply(const ObjectUpdate& update) {
+void ObjectTable::Apply(const ObjectUpdate& update) {
   if (update.old_pos.has_value() && update.new_pos.has_value()) {
-    return Move(update.id, *update.new_pos);
+    Move(update.id, *update.new_pos);
+  } else if (update.old_pos.has_value()) {
+    Remove(update.id);
+  } else if (update.new_pos.has_value()) {
+    Insert(update.id, *update.new_pos);
   }
-  if (update.old_pos.has_value()) return Remove(update.id);
-  if (update.new_pos.has_value()) return Insert(update.id, *update.new_pos);
-  return Status::OK();
 }
 
 Result<NetworkPoint> ObjectTable::Position(ObjectId id) const {

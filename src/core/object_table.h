@@ -62,21 +62,27 @@ class ObjectTable {
   ObjectTable(ObjectTable&&) = default;
   ObjectTable& operator=(ObjectTable&&) = default;
 
-  /// Registers a new object. AlreadyExists if the id is in use.
-  Status Insert(ObjectId id, const NetworkPoint& pos);
+  /// \name Mutators. Their preconditions are checked with `CKNN_CHECK`:
+  /// the server's `Prepare` admits only updates that meet them.
+  /// @{
 
-  /// Removes an object. NotFound if absent.
-  Status Remove(ObjectId id);
+  /// Registers a new object: the id is not in use, `pos` on a known edge.
+  void Insert(ObjectId id, const NetworkPoint& pos);
 
-  /// Moves an existing object. NotFound if absent.
-  Status Move(ObjectId id, const NetworkPoint& new_pos);
+  /// Removes a present object.
+  void Remove(ObjectId id);
+
+  /// Moves a present object to a point on a known edge.
+  void Move(ObjectId id, const NetworkPoint& new_pos);
 
   /// Applies one location update: old+new = Move, old only = Remove,
   /// new only = Insert, neither = no-op. The server's apply stage calls it
   /// once per folded update; the engines only read the table.
-  Status Apply(const ObjectUpdate& update);
+  void Apply(const ObjectUpdate& update);
 
-  /// Current position of an object.
+  /// @}
+
+  /// Current position of an object; NotFound if absent (ids from callers).
   Result<NetworkPoint> Position(ObjectId id) const;
 
   /// Current position of an object, or nullptr if absent (valid until the

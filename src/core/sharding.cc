@@ -56,12 +56,7 @@ ShardSet::ShardSet(RoadNetwork* primary_network, const ObjectTable* objects,
 
 ShardSet::~ShardSet() {
   owner_role_.Assert();
-  if (in_flight_) {
-    CKNN_IGNORE_STATUS(WaitProcessTimestamp(),
-                       "destructor drain: the tick's status has nowhere "
-                       "to go; per-shard statuses were already merged "
-                       "into the shards' own state");
-  }
+  if (in_flight_) WaitProcessTimestamp();
 }
 
 void ShardSet::Partition(UpdateBatch aggregated) {
@@ -78,7 +73,6 @@ void ShardSet::Partition(UpdateBatch aggregated) {
       shard.sub.edges = aggregated.edges;      // Broadcast.
     }
     shard.sub.queries.clear();
-    shard.status = Status::OK();
   }
   if (shards_.size() == 1) {
     last.sub.queries = std::move(aggregated.queries);
@@ -98,24 +92,18 @@ void ShardSet::UpdateRegistry(const UpdateBatch& aggregated) {
   for (const QueryUpdate& u : aggregated.queries) {
     switch (u.kind) {
       case QueryUpdate::Kind::kInstall:
-        registered_.insert(u.id);
+        registered_.Insert(RegisteredQuery{u.id, true});
         break;
-      case QueryUpdate::Kind::kTerminate:
-        registered_.erase(u.id);
+      case QueryUpdate::Kind::kTerminate: {
+        RegisteredQuery* slot = registered_.Find(u.id);
+        CKNN_CHECK(slot != nullptr);
+        registered_.Erase(slot);
         break;
+      }
       case QueryUpdate::Kind::kMove:
         break;
     }
   }
-}
-
-Status ShardSet::MergeStatuses() const {
-  // Merge in shard order: the first failing shard wins deterministically,
-  // regardless of which thread finished when.
-  for (const Shard& shard : shards_) {
-    if (!shard.status.ok()) return shard.status;
-  }
-  return Status::OK();
 }
 
 void ShardSet::BeginProcessTimestamp(UpdateBatch aggregated) {
@@ -126,20 +114,17 @@ void ShardSet::BeginProcessTimestamp(UpdateBatch aggregated) {
   tasks_.clear();
   tasks_.reserve(shards_.size());
   for (Shard& shard : shards_) {
-    tasks_.push_back([&shard] {
-      shard.status = shard.monitor->ProcessTimestamp(shard.sub);
-    });
+    tasks_.push_back([&shard] { shard.monitor->ProcessTimestamp(shard.sub); });
   }
   in_flight_ = true;
   pool_.Begin(tasks_);
 }
 
-Status ShardSet::WaitProcessTimestamp() {
+void ShardSet::WaitProcessTimestamp() {
   owner_role_.Assert();
   CKNN_CHECK(in_flight_);
   pool_.Wait();
   in_flight_ = false;
-  return MergeStatuses();
 }
 
 std::size_t ShardSet::NumQueries() const {
@@ -148,16 +133,6 @@ std::size_t ShardSet::NumQueries() const {
   std::size_t n = 0;
   for (const Shard& shard : shards_) n += shard.monitor->NumQueries();
   return n;
-}
-
-Result<std::size_t> ShardSet::TryNumQueries() const {
-  owner_role_.Assert();
-  if (in_flight_) {
-    return Status::FailedPrecondition(
-        "query count unavailable: a detached tick is in flight (Drain "
-        "first)");
-  }
-  return NumQueries();
 }
 
 Result<std::size_t> ShardSet::TryMemoryBytes() const {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/monitor.h"
@@ -12,6 +11,7 @@
 #include "src/core/updates.h"
 #include "src/graph/road_network.h"
 #include "src/util/annotations.h"
+#include "src/util/flat_id_map.h"
 #include "src/util/macros.h"
 #include "src/util/result.h"
 #include "src/util/status.h"
@@ -40,8 +40,8 @@ namespace cknn {
 /// Per tick the server aggregates the batch once, `Partition` fans the
 /// query updates out to their owning shards (object and edge updates are
 /// broadcast), the shards run their maintenance in parallel on a fixed
-/// thread pool, and statuses/metrics are merged in shard order — so the
-/// outcome is deterministic and per-query results are identical for every
+/// thread pool, and metrics are merged in shard order — so the outcome is
+/// deterministic and per-query results are identical for every
 /// shard count, including `num_shards == 1`.
 ///
 /// A tick runs detached: `BeginProcessTimestamp` hands one task per shard
@@ -80,12 +80,13 @@ class ShardSet {
   /// the shard tasks to the pool workers. The caller has already applied
   /// the batch's object updates to the shared table. The batch is taken
   /// by value and moved into the last shard's slot, so a single shard
-  /// copies nothing. Requires no tick already in flight.
+  /// copies nothing. Requires no tick already in flight, and an admissible
+  /// batch: the engines assert it (`Monitor::ProcessTimestamp`).
   void BeginProcessTimestamp(UpdateBatch aggregated);
 
   /// Blocks until the detached tick finished (helping drain unstarted
-  /// shards) and returns the first non-OK shard status in shard order.
-  Status WaitProcessTimestamp();
+  /// shards).
+  void WaitProcessTimestamp();
 
   /// Whether a detached tick is currently in flight. While true, engine
   /// state (results, registries, shard networks) must not be read.
@@ -124,9 +125,6 @@ class ShardSet {
     return Status::OK();
   }
 
-  /// NumQueries without the CHECK (FailedPrecondition while in flight).
-  Result<std::size_t> TryNumQueries() const;
-
   /// MemoryBytes without the CHECK (FailedPrecondition while in flight).
   Result<std::size_t> TryMemoryBytes() const;
 
@@ -139,7 +137,7 @@ class ShardSet {
   /// tick is submitted).
   bool IsRegistered(QueryId id) const {
     owner_role_.Assert();
-    return registered_.count(id) != 0;
+    return registered_.Find(id) != nullptr;
   }
 
   /// Registered queries across all shards.
@@ -164,7 +162,16 @@ class ShardSet {
     std::unique_ptr<Monitor> monitor;
     /// Per-tick scratch: this shard's slice of the aggregated batch.
     UpdateBatch sub;
-    Status status;
+  };
+
+  /// One slot of the query registry. It carries its own vacancy flag, so
+  /// every id, 2^32 - 1 included, is registrable.
+  struct RegisteredQuery {
+    QueryId id = 0;
+    bool live = false;
+
+    bool vacant() const { return !live; }
+    QueryId key() const { return id; }
   };
 
   /// Splits `aggregated` into the per-shard `sub` batches: query updates
@@ -177,9 +184,6 @@ class ShardSet {
   void UpdateRegistry(const UpdateBatch& aggregated)
       CKNN_REQUIRES(owner_role_);
 
-  /// First non-OK shard status in shard order.
-  Status MergeStatuses() const;
-
   std::vector<Shard> shards_;
   /// ShardSet is synchronized by protocol, not by a lock: exactly one
   /// thread submits ticks and reads results, and the parallel phase's
@@ -191,7 +195,7 @@ class ShardSet {
   ThreadRole owner_role_;
   /// Query ids registered after every tick submitted so far; mirrors the
   /// engines' registries for validated input (see IsRegistered).
-  std::unordered_set<QueryId> registered_ CKNN_GUARDED_BY(owner_role_);
+  FlatIdMap<RegisteredQuery> registered_ CKNN_GUARDED_BY(owner_role_);
   /// Per-tick task closures, one per shard; must outlive the pool batch,
   /// so they live here rather than on the Begin caller's stack.
   std::vector<std::function<void()>> tasks_ CKNN_GUARDED_BY(owner_role_);

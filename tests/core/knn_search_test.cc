@@ -11,7 +11,7 @@ namespace {
 TEST(KnnSearchTest, FindsObjectOnSameEdge) {
   RoadNetwork net = testing::MakeGrid(3);
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{0, 0.9}).ok());
+  objects.Insert(0, NetworkPoint{0, 0.9});
   const auto result = SnapshotKnn(net, objects, NetworkPoint{0, 0.1}, 1);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 0u);
@@ -23,7 +23,7 @@ TEST(KnnSearchTest, ObjectOnSameEdgeReachableFasterAround) {
   // Make edge 0 (0-1) expensive: direct along-edge is worse than around.
   ASSERT_TRUE(net.SetWeight(0, 10.0).ok());
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{0, 1.0}).ok());  // At node 1.
+  objects.Insert(0, NetworkPoint{0, 1.0});  // At node 1.
   const auto result = SnapshotKnn(net, objects, NetworkPoint{0, 0.0}, 1);
   ASSERT_EQ(result.size(), 1u);
   // Around 0-2-3-1 = 3.0 beats along-edge 10.0.
@@ -41,7 +41,7 @@ TEST(KnnSearchTest, DuplicateEncounterKeepsSmallestDistance) {
     if ((net.edge(e).u == 2 && net.edge(e).v == 3)) e23 = e;
   }
   ASSERT_NE(e23, kInvalidEdge);
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{e23, 0.5}).ok());
+  objects.Insert(0, NetworkPoint{e23, 0.5});
   const auto result = SnapshotKnn(net, objects, NetworkPoint{0, 0.5}, 2);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_NEAR(result[0].distance, 2.0, 1e-12);
@@ -50,8 +50,8 @@ TEST(KnnSearchTest, DuplicateEncounterKeepsSmallestDistance) {
 TEST(KnnSearchTest, KLargerThanObjectCount) {
   RoadNetwork net = testing::MakeGrid(3);
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{0, 0.5}).ok());
-  ASSERT_TRUE(objects.Insert(1, NetworkPoint{5, 0.5}).ok());
+  objects.Insert(0, NetworkPoint{0, 0.5});
+  objects.Insert(1, NetworkPoint{5, 0.5});
   const auto result = SnapshotKnn(net, objects, NetworkPoint{0, 0.0}, 10);
   EXPECT_EQ(result.size(), 2u);  // All reachable objects, fewer than k.
 }
@@ -66,11 +66,8 @@ TEST(KnnSearchTest, StatsAreCounted) {
   RoadNetwork net = testing::MakeGrid(4);
   ObjectTable objects(net.NumEdges());
   for (ObjectId i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        objects
-            .Insert(i, NetworkPoint{
-                           static_cast<EdgeId>(i % net.NumEdges()), 0.3})
-            .ok());
+    objects.Insert(i,
+                   NetworkPoint{static_cast<EdgeId>(i % net.NumEdges()), 0.3});
   }
   ExpandStats stats;
   SnapshotKnn(net, objects, NetworkPoint{0, 0.5}, 3, &stats);
@@ -84,11 +81,8 @@ TEST(KnnSearchTest, ContinuationAfterGrowingK) {
   ObjectTable objects(net.NumEdges());
   Rng rng(3);
   for (ObjectId i = 0; i < 30; ++i) {
-    ASSERT_TRUE(objects
-                    .Insert(i, NetworkPoint{static_cast<EdgeId>(rng.NextIndex(
-                                                net.NumEdges())),
-                                            rng.NextDouble()})
-                    .ok());
+    const auto edge = static_cast<EdgeId>(rng.NextIndex(net.NumEdges()));
+    objects.Insert(i, NetworkPoint{edge, rng.NextDouble()});
   }
   const NetworkPoint q{0, 0.5};
   ExpansionState state;
@@ -111,7 +105,7 @@ TEST(KnnSearchTest, FrontierMemoryBytesAccountsPriorityStructure) {
   // its entire priority structure.
   RoadNetwork net = testing::MakeGrid(6);
   ObjectTable objects(net.NumEdges());
-  ASSERT_TRUE(objects.Insert(0, NetworkPoint{30, 0.5}).ok());
+  objects.Insert(0, NetworkPoint{30, 0.5});
   ExpansionState state;
   state.ResetToPoint(NetworkPoint{0, 0.5});
   Frontier frontier;
@@ -129,11 +123,8 @@ TEST(KnnSearchTest, ScratchReuseMatchesFreshSearch) {
   ObjectTable objects(net.NumEdges());
   Rng rng(11);
   for (ObjectId i = 0; i < 25; ++i) {
-    ASSERT_TRUE(objects
-                    .Insert(i, NetworkPoint{static_cast<EdgeId>(rng.NextIndex(
-                                                net.NumEdges())),
-                                            rng.NextDouble()})
-                    .ok());
+    const auto edge = static_cast<EdgeId>(rng.NextIndex(net.NumEdges()));
+    objects.Insert(i, NetworkPoint{edge, rng.NextDouble()});
   }
   KnnScratch scratch;
   for (int round = 0; round < 5; ++round) {
@@ -158,11 +149,8 @@ TEST_P(KnnSearchPropertyTest, MatchesBruteForce) {
   Rng rng(seed * 101);
   ObjectTable objects(net.NumEdges());
   for (ObjectId i = 0; i < 60; ++i) {
-    ASSERT_TRUE(objects
-                    .Insert(i, NetworkPoint{static_cast<EdgeId>(rng.NextIndex(
-                                                net.NumEdges())),
-                                            rng.NextDouble()})
-                    .ok());
+    const auto edge = static_cast<EdgeId>(rng.NextIndex(net.NumEdges()));
+    objects.Insert(i, NetworkPoint{edge, rng.NextDouble()});
   }
   // Perturb some weights so weight != length.
   for (int i = 0; i < 40; ++i) {

@@ -1,10 +1,13 @@
 // Differential fuzz for ObjectTable: random Insert/Move/Remove/Apply
-// sequences — valid and invalid — against a std::map model plus reference
-// per-edge lists maintained with the plain find-and-swap-erase rule. The
-// exact ObjectsOn order is compared after every operation, because the
-// engines scan edge lists in that order and byte-identical results depend
-// on it; so is every list entry's offset, which the engines read instead
-// of the object's position.
+// sequences against a std::map model plus reference per-edge lists
+// maintained with the plain find-and-swap-erase rule. The model decides
+// whether each drawn operation is valid; every valid one runs on the
+// table too, and the exact ObjectsOn order is compared after every
+// operation, because the engines scan edge lists in that order and
+// byte-identical results depend on it; so is every list entry's offset,
+// which the engines read instead of the object's position. An invalid
+// operation breaks a precondition the server refuses before the table
+// sees it, so the table must abort on it (a death test per case).
 //
 // Runs under the `fuzz` label; seeds via CKNN_FUZZ_SEED, iteration budget
 // via CKNN_FUZZ_SCALE (tests/fuzz_util.h).
@@ -83,25 +86,32 @@ NetworkPoint RandomPoint(Rng* rng, const Reference& ref, ObjectId id) {
   return NetworkPoint{edge, rng->NextDouble()};
 }
 
-/// One random operation on both sides; the status codes must agree.
+/// One random operation, drawn and first run on the reference, which
+/// changes only if the operation is valid. A valid one then runs on the
+/// table. The first invalid one of a case (`*death_checked` false) must
+/// make the table abort; later ones are skipped, since each death test
+/// forks.
 void RandomOp(Rng* rng, const std::vector<ObjectId>& ids, ObjectTable* table,
-              Reference* ref) {
+              Reference* ref, bool* death_checked) {
   const ObjectId id = ids[rng->NextIndex(ids.size())];
   const NetworkPoint pos = RandomPoint(rng, *ref, id);
-  StatusCode expected = StatusCode::kOk;
-  Status actual;
+  auto run = [&](StatusCode expected, auto&& apply) {
+    if (expected == StatusCode::kOk) {
+      apply();
+    } else if (!*death_checked) {
+      *death_checked = true;
+      EXPECT_DEATH(apply(), "CKNN_CHECK failed") << "id " << id;
+    }
+  };
   switch (rng->NextIndex(4)) {
     case 0:
-      expected = ref->Insert(id, pos);
-      actual = table->Insert(id, pos);
+      run(ref->Insert(id, pos), [&] { table->Insert(id, pos); });
       break;
     case 1:
-      expected = ref->Move(id, pos);
-      actual = table->Move(id, pos);
+      run(ref->Move(id, pos), [&] { table->Move(id, pos); });
       break;
     case 2:
-      expected = ref->Remove(id);
-      actual = table->Remove(id);
+      run(ref->Remove(id), [&] { table->Remove(id); });
       break;
     default: {
       // Apply dispatches on which positions are present; the old
@@ -109,6 +119,7 @@ void RandomOp(Rng* rng, const std::vector<ObjectId>& ids, ObjectTable* table,
       ObjectUpdate u{id, std::nullopt, std::nullopt};
       if (rng->NextBool(0.6)) u.old_pos = RandomPoint(rng, *ref, id);
       if (rng->NextBool(0.6)) u.new_pos = pos;
+      StatusCode expected = StatusCode::kOk;
       if (u.old_pos.has_value() && u.new_pos.has_value()) {
         expected = ref->Move(id, pos);
       } else if (u.old_pos.has_value()) {
@@ -116,12 +127,10 @@ void RandomOp(Rng* rng, const std::vector<ObjectId>& ids, ObjectTable* table,
       } else if (u.new_pos.has_value()) {
         expected = ref->Insert(id, pos);
       }
-      actual = table->Apply(u);
+      run(expected, [&] { table->Apply(u); });
       break;
     }
   }
-  ASSERT_EQ(actual.code(), expected) << "id " << id << ": "
-                                     << actual.ToString();
 }
 
 /// Every edge list holds the reference's ids in the reference's order,
@@ -189,9 +198,10 @@ TEST(ObjectTableFuzzTest, RandomOperationsMatchTheReference) {
     }
     ObjectTable table(kNumEdges);
     Reference ref;
+    bool death_checked = false;
     const int ops = 200 + static_cast<int>(rng.NextIndex(2000));
     for (int op = 0; op < ops; ++op) {
-      RandomOp(&rng, ids, &table, &ref);
+      RandomOp(&rng, ids, &table, &ref, &death_checked);
       if (::testing::Test::HasFatalFailure()) return;
       ExpectSameEdgeLists(table, ref);
       if (::testing::Test::HasFatalFailure()) return;
@@ -204,7 +214,7 @@ TEST(ObjectTableFuzzTest, RandomOperationsMatchTheReference) {
     if (::testing::Test::HasFatalFailure()) return;
     // Drain everything: the table must end empty, with empty edge lists.
     for (const ObjectId id : ids) {
-      EXPECT_EQ(table.Remove(id).code(), ref.Remove(id));
+      if (ref.Remove(id) == StatusCode::kOk) table.Remove(id);
       ExpectSameEdgeLists(table, ref);
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -234,7 +244,8 @@ TEST(ObjectTableFuzzTest, MemoryFollowsLiveObjectsForSparseIds) {
     for (const ObjectId id : ids) {
       const NetworkPoint pos{static_cast<EdgeId>(rng.NextIndex(kNumEdges)),
                              rng.NextDouble()};
-      ASSERT_EQ(table.Insert(id, pos).code(), ref.Insert(id, pos));
+      ASSERT_EQ(ref.Insert(id, pos), StatusCode::kOk);
+      table.Insert(id, pos);
       ASSERT_LE(table.MemoryBytes(), base + kPerObjectBound * table.size());
     }
     ExpectSame(ids, table, ref);
@@ -242,7 +253,8 @@ TEST(ObjectTableFuzzTest, MemoryFollowsLiveObjectsForSparseIds) {
     // Remove all but a 64th, in another order.
     rng.Shuffle(&ids);
     for (std::size_t i = 0; i < ids.size() - ids.size() / 64; ++i) {
-      ASSERT_EQ(table.Remove(ids[i]).code(), ref.Remove(ids[i]));
+      ASSERT_EQ(ref.Remove(ids[i]), StatusCode::kOk);
+      table.Remove(ids[i]);
       ASSERT_LE(table.MemoryBytes(),
                 base + kPerObjectBound * (table.size() + 1) +
                     // Edge lists keep their peak capacity.

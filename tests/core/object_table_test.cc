@@ -9,7 +9,7 @@ namespace {
 
 TEST(ObjectTableTest, InsertAndLookup) {
   ObjectTable table(4);
-  ASSERT_TRUE(table.Insert(7, NetworkPoint{2, 0.5}).ok());
+  table.Insert(7, NetworkPoint{2, 0.5});
   EXPECT_TRUE(table.Contains(7));
   EXPECT_EQ(table.size(), 1u);
   auto pos = table.Position(7);
@@ -20,34 +20,35 @@ TEST(ObjectTableTest, InsertAndLookup) {
   EXPECT_TRUE(table.ObjectsOn(0).empty());
 }
 
-TEST(ObjectTableTest, DuplicateInsertRejected) {
+// The mutators' preconditions are admission rules of the server's
+// Prepare; the table asserts them.
+TEST(ObjectTableTest, DuplicateInsertAborts) {
   ObjectTable table(2);
-  ASSERT_TRUE(table.Insert(1, NetworkPoint{0, 0.1}).ok());
-  EXPECT_TRUE(table.Insert(1, NetworkPoint{1, 0.2}).IsAlreadyExists());
-  EXPECT_EQ(table.ObjectsOn(1).size(), 0u);  // Failed insert left no trace.
+  table.Insert(1, NetworkPoint{0, 0.1});
+  EXPECT_DEATH(table.Insert(1, NetworkPoint{1, 0.2}), "CKNN_CHECK failed");
 }
 
-TEST(ObjectTableTest, InsertOnUnknownEdgeRejected) {
+TEST(ObjectTableTest, InsertOnUnknownEdgeAborts) {
   ObjectTable table(2);
-  EXPECT_TRUE(table.Insert(1, NetworkPoint{5, 0.1}).IsInvalidArgument());
+  EXPECT_DEATH(table.Insert(1, NetworkPoint{5, 0.1}), "CKNN_CHECK failed");
 }
 
 TEST(ObjectTableTest, RemoveDetachesFromEdge) {
   ObjectTable table(2);
-  ASSERT_TRUE(table.Insert(1, NetworkPoint{0, 0.1}).ok());
-  ASSERT_TRUE(table.Insert(2, NetworkPoint{0, 0.9}).ok());
-  ASSERT_TRUE(table.Remove(1).ok());
+  table.Insert(1, NetworkPoint{0, 0.1});
+  table.Insert(2, NetworkPoint{0, 0.9});
+  table.Remove(1);
   EXPECT_FALSE(table.Contains(1));
   EXPECT_EQ(table.ObjectsOn(0).size(), 1u);
   EXPECT_EQ(table.ObjectsOn(0)[0].id, 2u);
   EXPECT_EQ(table.ObjectsOn(0)[0].t(), 0.9);
-  EXPECT_TRUE(table.Remove(1).IsNotFound());
+  EXPECT_DEATH(table.Remove(1), "CKNN_CHECK failed");
 }
 
 TEST(ObjectTableTest, MoveAcrossEdges) {
   ObjectTable table(3);
-  ASSERT_TRUE(table.Insert(5, NetworkPoint{0, 0.5}).ok());
-  ASSERT_TRUE(table.Move(5, NetworkPoint{2, 0.25}).ok());
+  table.Insert(5, NetworkPoint{0, 0.5});
+  table.Move(5, NetworkPoint{2, 0.25});
   EXPECT_TRUE(table.ObjectsOn(0).empty());
   EXPECT_EQ(table.ObjectsOn(2).size(), 1u);
   EXPECT_DOUBLE_EQ(table.Position(5)->t, 0.25);
@@ -55,26 +56,26 @@ TEST(ObjectTableTest, MoveAcrossEdges) {
 
 TEST(ObjectTableTest, MoveWithinEdgeKeepsSingleEntry) {
   ObjectTable table(1);
-  ASSERT_TRUE(table.Insert(5, NetworkPoint{0, 0.5}).ok());
-  ASSERT_TRUE(table.Move(5, NetworkPoint{0, 0.6}).ok());
+  table.Insert(5, NetworkPoint{0, 0.5});
+  table.Move(5, NetworkPoint{0, 0.6});
   EXPECT_EQ(table.ObjectsOn(0).size(), 1u);
   EXPECT_DOUBLE_EQ(table.Position(5)->t, 0.6);
   EXPECT_EQ(table.ObjectsOn(0)[0].t(), 0.6);  // Offset updated in place.
 }
 
-TEST(ObjectTableTest, MoveUnknownRejected) {
+TEST(ObjectTableTest, MoveUnknownAborts) {
   ObjectTable table(1);
-  EXPECT_TRUE(table.Move(9, NetworkPoint{0, 0.1}).IsNotFound());
+  EXPECT_DEATH(table.Move(9, NetworkPoint{0, 0.1}), "CKNN_CHECK failed");
 }
 
 TEST(ObjectTableTest, ManyObjectsPerEdge) {
   ObjectTable table(1);
   for (ObjectId i = 0; i < 100; ++i) {
-    ASSERT_TRUE(table.Insert(i, NetworkPoint{0, i / 100.0}).ok());
+    table.Insert(i, NetworkPoint{0, i / 100.0});
   }
   EXPECT_EQ(table.ObjectsOn(0).size(), 100u);
   for (ObjectId i = 0; i < 100; i += 2) {
-    ASSERT_TRUE(table.Remove(i).ok());
+    table.Remove(i);
   }
   auto on_edge = table.ObjectsOn(0);
   EXPECT_EQ(on_edge.size(), 50u);
@@ -88,7 +89,7 @@ TEST(ObjectTableTest, MemoryBytesGrows) {
   ObjectTable table(10);
   const std::size_t before = table.MemoryBytes();
   for (ObjectId i = 0; i < 64; ++i) {
-    ASSERT_TRUE(table.Insert(i, NetworkPoint{i % 10, 0.5}).ok());
+    table.Insert(i, NetworkPoint{i % 10, 0.5});
   }
   EXPECT_GT(table.MemoryBytes(), before);
 }

@@ -1,6 +1,7 @@
 #include "src/core/server.h"
 
 #include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -12,21 +13,27 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(ServerTest, ConvenienceLifecycle) {
-  MonitoringServer server(testing::MakeGrid(4), Algorithm::kIma);
-  ASSERT_TRUE(server.AddObject(1, NetworkPoint{0, 0.5}).ok());
-  ASSERT_TRUE(server.AddObject(2, NetworkPoint{5, 0.5}).ok());
-  ASSERT_TRUE(server.InstallQuery(0, NetworkPoint{0, 0.1}, 1).ok());
-  ASSERT_NE(server.ResultOf(0), nullptr);
-  EXPECT_EQ(server.ResultOf(0)->size(), 1u);
-  EXPECT_EQ((*server.ResultOf(0))[0].id, 1u);
-  ASSERT_TRUE(server.MoveObject(1, NetworkPoint{11, 0.5}).ok());
-  ASSERT_TRUE(server.RemoveObject(2).ok());
-  ASSERT_TRUE(server.MoveQuery(0, NetworkPoint{3, 0.5}).ok());
-  ASSERT_TRUE(server.UpdateEdgeWeight(0, 5.0).ok());
-  EXPECT_DOUBLE_EQ(server.network().edge(0).weight, 5.0);
-  ASSERT_TRUE(server.TerminateQuery(0).ok());
-  EXPECT_EQ(server.ResultOf(0), nullptr);
-  EXPECT_EQ(server.timestamp(), 8u);
+  // Every id is a query id, the largest included: no id is reserved as a
+  // sentinel in the server's registry or in the engines.
+  for (const QueryId q : {QueryId{0}, std::numeric_limits<QueryId>::max()}) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    MonitoringServer server(testing::MakeGrid(4), Algorithm::kIma);
+    ASSERT_TRUE(server.AddObject(1, NetworkPoint{0, 0.5}).ok());
+    ASSERT_TRUE(server.AddObject(2, NetworkPoint{5, 0.5}).ok());
+    ASSERT_TRUE(server.InstallQuery(q, NetworkPoint{0, 0.1}, 1).ok());
+    ASSERT_NE(server.ResultOf(q), nullptr);
+    EXPECT_EQ(server.ResultOf(q)->size(), 1u);
+    EXPECT_EQ((*server.ResultOf(q))[0].id, 1u);
+    ASSERT_TRUE(server.MoveObject(1, NetworkPoint{11, 0.5}).ok());
+    ASSERT_TRUE(server.RemoveObject(2).ok());
+    ASSERT_TRUE(server.MoveQuery(q, NetworkPoint{3, 0.5}).ok());
+    ASSERT_TRUE(server.UpdateEdgeWeight(0, 5.0).ok());
+    EXPECT_DOUBLE_EQ(server.network().edge(0).weight, 5.0);
+    ASSERT_TRUE(server.TerminateQuery(q).ok());
+    EXPECT_EQ(server.ResultOf(q), nullptr);
+    EXPECT_EQ(server.timestamp(), 8u);
+    EXPECT_TRUE(server.TerminateQuery(q).IsNotFound());
+  }
 }
 
 TEST(ServerTest, ValidationRejectsBadUpdates) {
@@ -71,6 +78,11 @@ TEST(ServerTest, ValidationRejectsBadUpdates) {
   bad_edge.queries.push_back(
       QueryUpdate{7, QueryUpdate::Kind::kInstall, NetworkPoint{999, 0.5}, 1});
   EXPECT_TRUE(server.Tick(bad_edge).IsInvalidArgument());
+  ASSERT_TRUE(server.InstallQuery(3, NetworkPoint{0, 0.5}, 1).ok());
+  UpdateBatch move_off_network;
+  move_off_network.queries.push_back(
+      QueryUpdate{3, QueryUpdate::Kind::kMove, NetworkPoint{999, 0.5}, 0});
+  EXPECT_TRUE(server.Tick(move_off_network).IsInvalidArgument());
 }
 
 TEST(ServerTest, ValidationRejectsNonFiniteEdgeWeights) {
@@ -184,14 +196,13 @@ TEST(ServerTest, AggregationDoesNotLaunderInconsistentObjectChains) {
 }
 
 TEST(ServerTest, ShardFailureAfterValidationAborts) {
-  // Stage-2 validation makes a stage-4 shard failure unreachable; were
-  // one to slip through, the shared table would already be mutated with
-  // the engines unrouted. That residual path is a CKNN_CHECK, not a
-  // Status pretending the server is still usable. Reproduced by
-  // desynchronizing the engine behind the server's back through the
-  // diagnostics accessor: terminate a query directly in the monitor, then
-  // feed the server a move for it — validation (whose registry still
-  // carries the query) passes, the engine rejects, the server aborts.
+  // Validation is the one admission point; below it the engines assert
+  // what it admits, so a batch it passed that an engine cannot process is
+  // a CKNN_CHECK, not a Status pretending the server is still usable.
+  // Reproduced by desynchronizing the engine behind the server's back
+  // through the diagnostics accessor: terminate a query directly in the
+  // monitor, then feed the server a move for it — validation (whose
+  // registry still carries the query) passes, the engine's CHECK fires.
   EXPECT_DEATH(
       {
         MonitoringServer server(testing::MakeGrid(3), Algorithm::kIma);
@@ -199,7 +210,7 @@ TEST(ServerTest, ShardFailureAfterValidationAborts) {
         UpdateBatch terminate;
         terminate.queries.push_back(QueryUpdate{
             0, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
-        if (!server.monitor().ProcessTimestamp(terminate).ok()) return;
+        server.monitor().ProcessTimestamp(terminate);
         UpdateBatch move;
         move.queries.push_back(
             QueryUpdate{0, QueryUpdate::Kind::kMove, NetworkPoint{1, 0.5}, 0});

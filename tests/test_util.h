@@ -113,17 +113,13 @@ inline RoadNetwork MakeFigure11() {
   return net;
 }
 
-/// Applies a batch's object updates to `objects` in stream order and
-/// returns the first failure. Engines only read the object table: the
-/// server's apply stage does exactly this before its engines see a batch,
-/// so engine tests that drive a monitor directly call it first and run
-/// the order production runs.
-inline Status ApplyObjectUpdates(const std::vector<ObjectUpdate>& updates,
-                                 ObjectTable* objects) {
-  for (const ObjectUpdate& u : updates) {
-    CKNN_RETURN_NOT_OK(objects->Apply(u));
-  }
-  return Status::OK();
+/// Applies a batch's object updates to `objects` in stream order. Engines
+/// only read the object table: the server's apply stage does exactly this
+/// before its engines see a batch, so engine tests that drive a monitor
+/// directly call it first and run the order production runs.
+inline void ApplyObjectUpdates(const std::vector<ObjectUpdate>& updates,
+                               ObjectTable* objects) {
+  for (const ObjectUpdate& u : updates) objects->Apply(u);
 }
 
 /// Brute-force k-NN oracle: full point-to-point shortest path per object.

@@ -110,7 +110,7 @@ TEST(ThreadPoolTest, DetachedBatchesMakeProgressWithoutWait) {
 
 TEST(ThreadPoolTest, RandomizedBeginWaitStress) {
   // Randomized batch sizes and worker counts. Each task writes its own
-  // plain (non-atomic) slot — the shard set's per-shard status shape — so
+  // plain (non-atomic) slot — the shard set's per-shard state shape — so
   // every slot must read back exactly after Wait. Seeded via
   // CKNN_FUZZ_SEED, budget via CKNN_FUZZ_SCALE (tests/fuzz_util.h).
   const int cases = testing::FuzzIterations(4, 16);
